@@ -5,8 +5,8 @@ Every output file embeds the config hash, package version and the
 finite-size sine-argument convention, and all commands are deterministic
 under a fixed seed.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 unphysical
-covariance.
+Exit codes: 0 ok, 2 config error, 3 numerical failure (including
+MemoryError), 4 unphysical covariance.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class RunConfig:
     film_sigma: float = 3.54e-4
     film_rho: float = 145.0
     film_m4: float = 6.6465e-27
-    film_mass: float = 0.0
     # grid
     grid_lx: float = 5e-3
     grid_ly: float = 5e-3
@@ -51,7 +50,6 @@ class RunConfig:
     # boundary
     boundary_kind: str = "dirichlet"
     boundary_alpha: float | None = None
-    boundary_include_zero_mode: bool = False
     # sweeps
     sweep_buffer: int = 1
     sweep_include_cell_boundary: bool = True
@@ -64,7 +62,6 @@ class RunConfig:
     reconstruct_seed: int = 1234
     # output
     output_dir: str = "out"
-    threads: int = 1
 
 
 _REQUIRED = ("film.h0", "film.alpha_vdw", "film.temperature",
@@ -166,7 +163,7 @@ def build_film(cfg: RunConfig) -> FilmParams:
     try:
         return FilmParams(h0=cfg.film_h0, alpha_vdw=cfg.film_alpha_vdw,
                           temperature=cfg.film_temperature, sigma=cfg.film_sigma,
-                          rho=cfg.film_rho, m4=cfg.film_m4, mass=cfg.film_mass)
+                          rho=cfg.film_rho, m4=cfg.film_m4)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -176,7 +173,7 @@ def build_boundary(cfg: RunConfig) -> BoundarySpec:
     if kind is BoundaryKind.ROBIN:
         return BoundarySpec.robin(cfg.boundary_alpha)
     if kind is BoundaryKind.NEUMANN:
-        return BoundarySpec.neumann(include_zero_mode=cfg.boundary_include_zero_mode)
+        return BoundarySpec.neumann()
     return BoundarySpec.dirichlet()
 
 
@@ -343,8 +340,7 @@ def cmd_params(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 def cmd_sweep_volume(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     _, _, _, _, gamma = build_pipeline(cfg)
     sweep = regions.run_volume_sweep(gamma, buffer=cfg.sweep_buffer,
-                                     include_cell_boundary=cfg.sweep_include_cell_boundary,
-                                     threads=cfg.threads)
+                                     include_cell_boundary=cfg.sweep_include_cell_boundary)
     header = _header_lines(cfg, "sweep-volume", {"protocol": sweep.protocol})
     for i, p in enumerate(sweep.points):
         header.append(f"# point {i} mask_a={p.pair.a.rle()} mask_b={p.pair.b.rle()}")
@@ -361,7 +357,7 @@ def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     _, _, _, _, gamma = build_pipeline(cfg)
     sweep = regions.run_area_sweep(gamma, cfg.sweep_fixed_volume,
                                    include_cell_boundary=cfg.sweep_include_cell_boundary,
-                                   buffer=cfg.sweep_buffer, threads=cfg.threads)
+                                   buffer=cfg.sweep_buffer)
     header = _header_lines(cfg, "sweep-area", {"protocol": sweep.protocol})
     for i, p in enumerate(sweep.raw_points):
         header.append(f"# raw point {i} shape={p.pair.label['width']}x"
@@ -378,7 +374,7 @@ def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 def cmd_mi_map(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     _, _, _, _, gamma = build_pipeline(cfg)
-    field = regions.mi_map(gamma, threads=cfg.threads)
+    field = regions.mi_map(gamma)
     header = _header_lines(cfg, "mi-map", {"note": "outer pixel ring excluded"})
     rows = [(ix, iy, field[ix, iy])
             for ix in range(field.shape[0]) for iy in range(field.shape[1])
@@ -423,8 +419,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 def cmd_fit_calabrese(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     _, _, _, _, gamma = build_pipeline(cfg)
     sweep = regions.run_volume_sweep(gamma, buffer=cfg.sweep_buffer,
-                                     include_cell_boundary=cfg.sweep_include_cell_boundary,
-                                     threads=cfg.threads)
+                                     include_cell_boundary=cfg.sweep_include_cell_boundary)
     fit = fitting.calabrese_fit(sweep)
     header = _header_lines(cfg, "fit-calabrese", {"protocol": sweep.protocol})
     rows = [(p.pair.label["divider_index"], p.abscissa, p.mi) for p in sweep.points]
@@ -450,7 +445,7 @@ def cmd_fit_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     _, _, _, _, gamma = build_pipeline(cfg)
     sweep = regions.run_area_sweep(gamma, cfg.sweep_fixed_volume,
                                    include_cell_boundary=cfg.sweep_include_cell_boundary,
-                                   buffer=cfg.sweep_buffer, threads=cfg.threads)
+                                   buffer=cfg.sweep_buffer)
     fit = fitting.area_law_fit(sweep)
     header = _header_lines(cfg, "fit-area", {"protocol": sweep.protocol,
                                              "superlinear": fit.superlinear})
@@ -479,7 +474,8 @@ def exit_code_for(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, UnphysicalCovarianceError):
         return EXIT_UNPHYSICAL
-    if isinstance(exc, (NumericalError, ThirdSoundError, np.linalg.LinAlgError)):
+    if isinstance(exc, (NumericalError, ThirdSoundError, np.linalg.LinAlgError,
+                        MemoryError)):
         return EXIT_NUMERICAL
     raise exc
 
@@ -492,13 +488,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", default=None, help="output directory (default: config output.dir)")
     parser.add_argument("--svg", action="store_true", help="also emit SVG plots")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap")
     parser.add_argument("--seed", type=int, default=None, help="override reconstruction seed")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg.threads = max(1, args.threads)
         if args.seed is not None:
             cfg.reconstruct_seed = args.seed
         out_dir = Path(args.out) if args.out else Path(cfg.output_dir)

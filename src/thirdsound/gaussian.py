@@ -16,8 +16,14 @@ retained mode span and physicality is preserved.  When the basis spans a
 proper subspace of the pixel lattice (Neumann with the zero mode dropped),
 the real-space matrix acquires exact null directions; these are structural
 (the lattice simply has fewer physical collective degrees of freedom than
-pixels), are tracked via ``structural_nulls`` and are excluded from the
+pixels), are tracked via ``structural_nulls`` and are projected out of the
 spectrum rather than flagged as uncertainty violations.
+
+Symplectic spectra come from one exact Williamson route: Cholesky-factor
+Gamma = L L^T and take the singular values of L^T Omega L, which reduce to
+svd(chol(Q)^T chol(P)) when R = 0, as for every thermal real-space state
+and every restriction of one.  The route is invariant under symplectic
+rescalings, so the huge momentum-quadrature scale needs no balancing.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ REAL = "real"
 # below 1/2 - CLAMP_TOL is round-off and clamped; below 1/2 - HARD_TOL is a bug
 CLAMP_TOL = 1e-9
 HARD_TOL = 1e-6
+NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 
 
 class CovarianceMatrix:
@@ -58,7 +65,9 @@ class CovarianceMatrix:
         self.labelling = labelling
         self.basis = basis
         self.structural_nulls = int(structural_nulls)
-        self._entropy_cache = None
+        if not 0 <= self.structural_nulls <= self.n:
+            raise ValueError(f"structural_nulls must lie in 0..{self.n}, "
+                             f"got {self.structural_nulls}")
 
     @property
     def data(self) -> np.ndarray:
@@ -102,12 +111,7 @@ def thermal_momentum_covariance(basis, temperature: float,
                                 constants: PhysicalConstants = PhysicalConstants()) -> CovarianceMatrix:
     """Thermal state in the mode basis: Q~ = P~ = diag(n_T(omega) + 1/2), R~ = 0."""
     diag = bose_einstein(basis.omegas, temperature, constants) + 0.5
-    n = basis.n_modes
-    data = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    data[idx, idx] = diag
-    data[n + idx, n + idx] = diag
-    return CovarianceMatrix(data, MOMENTUM, basis=basis)
+    return CovarianceMatrix(np.diag(np.concatenate([diag, diag])), MOMENTUM, basis=basis)
 
 
 def _mode_prefactors(basis, derived: DerivedParams):
@@ -121,18 +125,16 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
         raise ValueError(f"covariance has {gamma.n} modes, basis has {basis.n_modes}")
+    n_pix = basis.grid.n_pixels
+    if basis.n_modes > n_pix:
+        raise ValueError(f"basis has {basis.n_modes} modes, more than the "
+                         f"{n_pix} pixels it is sampled on")
     g = basis.sampled
     d_phi, d_eta = _mode_prefactors(basis, derived)
     q = g.T @ (d_phi[:, None] * gamma.q_block * d_phi[None, :]) @ g
     p = g.T @ (d_eta[:, None] * gamma.p_block * d_eta[None, :]) @ g
     r = g.T @ (d_phi[:, None] * gamma.r_block * d_eta[None, :]) @ g
-    n_pix = basis.grid.n_pixels
-    data = np.empty((2 * n_pix, 2 * n_pix))
-    data[:n_pix, :n_pix] = q
-    data[:n_pix, n_pix:] = r
-    data[n_pix:, :n_pix] = r.T
-    data[n_pix:, n_pix:] = p
-    return CovarianceMatrix(data, REAL, basis=basis,
+    return CovarianceMatrix(np.block([[q, r], [r.T, p]]), REAL, basis=basis,
                             structural_nulls=n_pix - basis.n_modes)
 
 
@@ -147,66 +149,68 @@ def to_momentum_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) ->
     qt = (g @ gamma.q_block @ g.T) / np.outer(d_phi, d_phi)
     pt = (g @ gamma.p_block @ g.T) / np.outer(d_eta, d_eta)
     rt = (g @ gamma.r_block @ g.T) / np.outer(d_phi, d_eta)
-    n = basis.n_modes
-    data = np.empty((2 * n, 2 * n))
-    data[:n, :n] = 0.5 * (qt + qt.T)
-    data[:n, n:] = rt
-    data[n:, :n] = rt.T
-    data[n:, n:] = 0.5 * (pt + pt.T)
+    data = np.block([[0.5 * (qt + qt.T), rt], [rt.T, 0.5 * (pt + pt.T)]])
     return CovarianceMatrix(data, MOMENTUM, basis=basis)
 
 
-def _balance(gamma: CovarianceMatrix):
-    """Symplectic per-dof rescaling phi_i -> s_i phi_i, eta_i -> eta_i / s_i
-    that equalises the Q and P diagonals.  Symplectic eigenvalues are
-    invariant, but without this the eigensolver sees matrix norms set by
-    the huge momentum-quadrature scale (K omega / c ~ 1e18) and absolute
-    eigenvalue errors swamp nu ~ 1/2."""
-    n = gamma.n
-    dq = np.diag(gamma.q_block).copy()
-    dp = np.diag(gamma.p_block).copy()
-    if np.all(dq > 0) and np.all(dp > 0):
-        s = (dp / dq) ** 0.25
-    else:
-        tq, tp = np.trace(gamma.q_block), np.trace(gamma.p_block)
-        if tq > 0 and tp > 0:
-            s = np.full(n, (tp / tq) ** 0.25)
-        else:
-            s = np.ones(n)
-    scale = np.concatenate([s, 1.0 / s])
-    return scale[:, None] * gamma.data * scale[None, :]
+def _drop_structural_nulls(gamma: CovarianceMatrix):
+    """Q, P and R on the complement of the declared structural nulls.
+
+    The k nulls are the k lowest eigendirections of Q.  Each block must
+    carry nothing on them; rotating both quadratures by the same orthogonal
+    matrix is symplectic, so cutting them out leaves the spectrum intact.
+    """
+    q, p, r = gamma.q_block, gamma.p_block, gamma.r_block
+    k = gamma.structural_nulls
+    if not k:
+        return q, p, r
+    vecs = np.linalg.eigh(q)[1]
+    null, keep = vecs[:, :k], vecs[:, k:]
+    for name, block in (("Q", q), ("P", p), ("R", r), ("R^T", r.T)):
+        residual = np.max(np.abs(block @ null))
+        if residual > NULL_TOL * np.max(np.abs(block)):
+            raise UnphysicalCovarianceError(
+                f"declared {k} structural nulls but {name} carries {residual:.3g} "
+                f"on them, above {NULL_TOL:g} of its largest entry")
+    return keep.T @ q @ keep, keep.T @ p @ keep, keep.T @ r @ keep
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise UnphysicalCovarianceError(
+            "covariance is not positive definite on its non-null span") from None
 
 
 def symplectic_spectrum(gamma: CovarianceMatrix) -> SymplecticSpectrum:
-    """Symplectic eigenvalues as |Im eig(Omega Gamma)|, paired and sorted.
+    """Symplectic eigenvalues by Williamson's theorem, ascending.
 
-    Declared structural null directions (rank deficiency inherited from a
-    mode basis smaller than the pixel lattice) are verified to be
-    numerically tiny and dropped.  Any remaining value below
-    1/2 - 1e-6 raises; values within 1e-9 below 1/2 are clamped.
+    With Gamma = L L^T (Cholesky), nu are the singular values of the
+    antisymmetric L^T Omega L, each appearing twice.  When R = 0 that
+    matrix is block off-diagonal and nu = svd(chol(Q)^T chol(P)), an n x n
+    problem.  A symplectic rescaling D = diag(s, 1/s) gives chol(D Gamma D)
+    = D chol(Gamma) and D Omega D = Omega, so the ~1e18 momentum-quadrature
+    scale needs no balancing.
+
+    Declared structural nulls (a mode basis smaller than the pixel lattice)
+    are checked to be empty and projected out first.  A Gamma that is not
+    positive definite on what remains, or a value below 1/2 - 1e-6, raises;
+    values within 1e-9 below 1/2 are clamped.
     """
-    n = gamma.n
-    balanced = _balance(gamma)
-    m = np.vstack([balanced[n:, :], -balanced[:n, :]])   # Omega @ Gamma
-    eigs = np.linalg.eigvals(m)
-    nus = np.sort(np.abs(eigs.imag))   # 2n values in +/- pairs, ascending
-
-    k = gamma.structural_nulls
-    if k:
-        null_tol = max(1e-12, 1e-6 * nus[-1])
-        dropped = nus[: 2 * k]
-        if np.any(dropped > null_tol):
-            raise UnphysicalCovarianceError(
-                f"declared {k} structural nulls but smallest spectrum values "
-                f"{dropped} exceed tolerance {null_tol:g}")
-        nus = nus[2 * k:]
-
-    values = 0.5 * (nus[::2] + nus[1::2])   # average the +/- pair estimates
+    q, p, r = _drop_structural_nulls(gamma)
+    if not r.any():
+        values = np.linalg.svd(_cholesky(q).T @ _cholesky(p), compute_uv=False)[::-1]
+    else:
+        m = q.shape[0]
+        chol = _cholesky(np.block([[q, r], [r.T, p]]))
+        twice = np.linalg.svd(chol.T @ np.vstack([chol[m:], -chol[:m]]), compute_uv=False)
+        values = twice[::-1][::2]
     if values.size and values[0] < 0.5 - HARD_TOL:
         raise UnphysicalCovarianceError(
             f"symplectic eigenvalue {values[0]:.9g} violates the uncertainty bound 1/2")
     values[np.abs(values - 0.5) < CLAMP_TOL] = 0.5   # round-off band
-    return SymplecticSpectrum(values=values, n_null=k)
+    return SymplecticSpectrum(values=values, n_null=gamma.structural_nulls)
 
 
 def _entropy_terms(nus: np.ndarray) -> np.ndarray:
@@ -221,11 +225,8 @@ def _entropy_terms(nus: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
-    """Entropy in nats from the symplectic spectrum; cached per matrix."""
-    if gamma._entropy_cache is None:
-        spectrum = symplectic_spectrum(gamma)
-        gamma._entropy_cache = float(math.fsum(_entropy_terms(spectrum.values)))
-    return gamma._entropy_cache
+    """Entropy in nats from the symplectic spectrum."""
+    return float(math.fsum(_entropy_terms(symplectic_spectrum(gamma).values)))
 
 
 def _selector_indices(gamma: CovarianceMatrix, selector) -> np.ndarray:
@@ -271,33 +272,3 @@ def mutual_information(gamma: CovarianceMatrix, a, b) -> float:
     s_b = von_neumann_entropy(restrict(gamma, ib))
     s_ab = von_neumann_entropy(restrict(gamma, np.concatenate([ia, ib])))
     return max(s_a + s_b - s_ab, 0.0)
-
-
-def save_covariance_csv(gamma: CovarianceMatrix, path) -> None:
-    """Plain-text serialization: two comment lines, then 2n x 2n rows."""
-    with open(path, "w") as fh:
-        fh.write("# thirdsound-covariance v1\n")
-        fh.write(f"# n={gamma.n} labelling={gamma.labelling} "
-                 f"structural_nulls={gamma.structural_nulls}\n")
-        for row in gamma.data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_covariance_csv(path) -> CovarianceMatrix:
-    labelling, nulls, rows = None, 0, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("labelling="):
-                        labelling = token.split("=", 1)[1]
-                    elif token.startswith("structural_nulls="):
-                        nulls = int(token.split("=", 1)[1])
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if labelling is None:
-        raise ValueError(f"{path} has no labelling header")
-    return CovarianceMatrix(np.array(rows), labelling, structural_nulls=nulls)

@@ -45,9 +45,6 @@ class FilmParams:
     sigma, rho and m4 default to common helium-4 values; they are
     configuration defaults, not measured ground truth, and several derived
     quantities (notably the Luttinger stiffness) are sensitive to rho.
-
-    mass is the effective field mass in kg; it is zero for a plain film
-    and only nonzero in engineered trapping scenarios.
     """
 
     h0: float                     # equilibrium film depth (m)
@@ -56,7 +53,6 @@ class FilmParams:
     sigma: float = 3.54e-4        # surface tension (N/m)
     rho: float = 145.0            # superfluid density (kg/m^3)
     m4: float = 6.6465e-27        # helium-4 atomic mass (kg)
-    mass: float = 0.0             # effective field mass (kg)
 
     def __post_init__(self):
         if not (self.h0 > 0):
@@ -65,8 +61,8 @@ class FilmParams:
             raise ValueError("van der Waals coefficient must be positive")
         if not (self.rho > 0 and self.m4 > 0):
             raise ValueError("rho and m4 must be positive")
-        if self.sigma < 0 or self.temperature < 0 or self.mass < 0:
-            raise ValueError("sigma, temperature and mass must be non-negative")
+        if self.sigma < 0 or self.temperature < 0:
+            raise ValueError("sigma and temperature must be non-negative")
 
 
 @dataclass(frozen=True)

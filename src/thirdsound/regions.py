@@ -11,7 +11,6 @@ A and B never touch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,12 +232,7 @@ def area_sweep(grid: Grid, fixed_volume: int, include_cell_boundary: bool = True
     return pairs
 
 
-def _mi_of_pair(gamma, pair: SweepPair) -> float:
-    return gaussian.mutual_information(gamma, pair.a, pair.b)
-
-
-def evaluate_sweep(gamma, pairs: list, abscissa: str, protocol: str,
-                   threads: int = 1) -> SweepResult:
+def evaluate_sweep(gamma, pairs: list, abscissa: str, protocol: str) -> SweepResult:
     """Compute MI for each (A, B) pair and assemble a SweepResult.
 
     abscissa is 'volume' (A volume in m^2) or 'perimeter' (A boundary
@@ -250,11 +244,7 @@ def evaluate_sweep(gamma, pairs: list, abscissa: str, protocol: str,
         xs = [p.a.boundary_length() for p in pairs]
     else:
         raise ValueError(f"unknown abscissa {abscissa!r}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mis = list(pool.map(lambda p: _mi_of_pair(gamma, p), pairs))
-    else:
-        mis = [_mi_of_pair(gamma, p) for p in pairs]
+    mis = [gaussian.mutual_information(gamma, p.a, p.b) for p in pairs]
     raw = [SweepPoint(abscissa=x, mi=mi, stats=p.a.stats(), pair=p)
            for x, mi, p in zip(xs, mis, pairs)]
 
@@ -270,26 +260,25 @@ def evaluate_sweep(gamma, pairs: list, abscissa: str, protocol: str,
     return SweepResult(protocol=protocol, points=points, raw_points=raw)
 
 
-def run_volume_sweep(gamma, buffer: int = 1, include_cell_boundary: bool = True,
-                     threads: int = 1) -> SweepResult:
+def run_volume_sweep(gamma, buffer: int = 1, include_cell_boundary: bool = True) -> SweepResult:
     grid = gamma.basis.grid
     pairs = volume_sweep(grid, buffer=buffer, include_cell_boundary=include_cell_boundary)
     tag = "full" if include_cell_boundary else "interior"
     return evaluate_sweep(gamma, pairs, abscissa="volume",
-                          protocol=f"volume_sweep/{tag}/buffer={buffer}", threads=threads)
+                          protocol=f"volume_sweep/{tag}/buffer={buffer}")
 
 
 def run_area_sweep(gamma, fixed_volume: int, include_cell_boundary: bool = True,
-                   buffer: int = 1, threads: int = 1) -> SweepResult:
+                   buffer: int = 1) -> SweepResult:
     grid = gamma.basis.grid
     pairs = area_sweep(grid, fixed_volume, include_cell_boundary=include_cell_boundary,
                        buffer=buffer)
     tag = "full" if include_cell_boundary else "interior"
     return evaluate_sweep(gamma, pairs, abscissa="perimeter",
-                          protocol=f"area_sweep/{tag}/volume={fixed_volume}", threads=threads)
+                          protocol=f"area_sweep/{tag}/volume={fixed_volume}")
 
 
-def mi_map(gamma, threads: int = 1) -> np.ndarray:
+def mi_map(gamma) -> np.ndarray:
     """Local-information map: for every interior pixel p, the MI between
     {p} and the rest of the interior.  The outer pixel ring is excluded
     from the analysis (it keeps subsystem boundary statistics constant)
@@ -310,11 +299,6 @@ def mi_map(gamma, threads: int = 1) -> np.ndarray:
         s_b = gaussian.von_neumann_entropy(gaussian.restrict(gamma, rest))
         return max(s_a + s_b - s_union, 0.0)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(local_mi, interior_idx))
-    else:
-        values = [local_mi(p) for p in interior_idx]
     out = np.full((grid.nx, grid.ny), np.nan)
-    out.ravel()[interior_idx] = values
+    out.ravel()[interior_idx] = [local_mi(p) for p in interior_idx]
     return out

@@ -42,7 +42,6 @@ from thirdsound.regions import RegionMask
 FILM = FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
 DERIVED = derive_params(FILM)
 L = 5e-3
-THREADS = 4
 
 
 def report(num, name, ok, detail=""):
@@ -82,8 +81,7 @@ def paper_states():
 
 @pytest.fixture(scope="module")
 def volume_sweeps(paper_states):
-    return {key: rg.run_volume_sweep(state, buffer=1, include_cell_boundary=True,
-                                     threads=THREADS)
+    return {key: rg.run_volume_sweep(state, buffer=1, include_cell_boundary=True)
             for key, state in paper_states.items()}
 
 
@@ -266,8 +264,8 @@ def classical_mi_oracle(basis, temperature, pairs):
 def test_criterion_07_area_sweep_anchor(paper_states):
     start = time.time()
     gamma = paper_states["dirichlet"]
-    included = rg.run_area_sweep(gamma, 36, include_cell_boundary=True, threads=THREADS)
-    excluded = rg.run_area_sweep(gamma, 36, include_cell_boundary=False, threads=THREADS)
+    included = rg.run_area_sweep(gamma, 36, include_cell_boundary=True)
+    excluded = rg.run_area_sweep(gamma, 36, include_cell_boundary=False)
     max_mi = included.mi_values.max()
     monotone = bool(np.all(np.diff(excluded.mi_values) >= -1e-6))
     elapsed = time.time() - start
@@ -302,7 +300,7 @@ def _map_stats(field):
 
 def test_criterion_08_mi_map_structure(paper_states):
     start = time.time()
-    maps = {key: rg.mi_map(state, threads=THREADS) for key, state in paper_states.items()}
+    maps = {key: rg.mi_map(state) for key, state in paper_states.items()}
     edge_d, centre_d, spread_d = _map_stats(maps["dirichlet"])
     _, _, spread_n = _map_stats(maps["neumann"])
     elapsed_20 = time.time() - start
@@ -313,7 +311,7 @@ def test_criterion_08_mi_map_structure(paper_states):
     for key, spec in (("dirichlet", BoundarySpec.dirichlet()),
                       ("neumann", BoundarySpec.neumann())):
         _, gamma = thermal_real_state(grid10, spec, 0.3)
-        spread_ci[key] = _map_stats(rg.mi_map(gamma, threads=THREADS))[2]
+        spread_ci[key] = _map_stats(rg.mi_map(gamma))[2]
     elapsed_10 = time.time() - start_ci
     print(f"criterion 08 runtime: 20x20 {elapsed_20:.0f}s, 10x10 {elapsed_10:.1f}s")
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ sweep.fixed_volume = 4
 reconstruct.n_times = 40
 reconstruct.seed = 11
 """
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.cfg")) + sorted(
+    (REPO / "benchmark" / "configs").glob("*.cfg"))
 
 
 def write_config(tmp_path, text=BASELINE, name="run.cfg"):
@@ -62,6 +69,20 @@ class TestConfigParsing:
         assert cli.exit_code_for(NumericalError("x")) == 3
         assert cli.exit_code_for(UnstableRobinError("x")) == 3
         assert cli.exit_code_for(UnphysicalCovarianceError("x")) == 4
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        cfg = cli.load_config(str(path))
+        assert cli.parse_config(cli.emit_config(cfg)) == cfg
+
+    def test_shipped_configs_found(self):
+        assert len(SHIPPED_CONFIGS) >= 2
+
+    @pytest.mark.parametrize("line", ["threads = 4", "film.mass = 1e-27",
+                                      "boundary.include_zero_mode = true"])
+    def test_removed_keys_rejected(self, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            cli.parse_config(BASELINE + line + "\n")
 
 
 class TestCommands:
@@ -157,6 +178,14 @@ class TestCommands:
         lines = [l for l in (out / "fit_area.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert lines[0] == "slope,intercept,r2"
+
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out_dir, svg):
+            raise MemoryError("cannot allocate sample array")
+
+        monkeypatch.setitem(cli._COMMANDS, "params", exhausted)
+        assert cli.main(["params", "--config", write_config(tmp_path)]) == 3
+        assert "cannot allocate" in capsys.readouterr().err
 
     def test_unstable_robin_exit_3(self, tmp_path, capsys):
         cfg = BASELINE.replace("boundary.kind = dirichlet",

@@ -7,7 +7,7 @@ import scipy.linalg
 from thirdsound import FilmParams, HBAR, K_B, bose_einstein, derive_params
 from thirdsound import gaussian as ga
 from thirdsound.errors import UnphysicalCovarianceError
-from thirdsound.geometry import BoundarySpec, Grid, build_basis
+from thirdsound.geometry import BoundarySpec, Grid, ModeBasis, build_basis
 from thirdsound.physics import dispersion_thin_film
 from thirdsound.regions import RegionMask, run_volume_sweep
 
@@ -96,6 +96,29 @@ class TestRealSpaceTransform:
         expected = np.sort(bose_einstein(basis.omegas, 0.3) + 0.5)
         assert np.allclose(np.sort(spectrum.values), expected, rtol=1e-9)
 
+    def test_more_modes_than_pixels_rejected(self):
+        # a basis listing the 9 modes of a 3x3 Dirichlet lattice twice would
+        # declare structural_nulls = 9 - 18 = -9
+        basis = film_basis(3, 3)
+        doubled = ModeBasis(basis.grid, basis.boundary, basis.modes + basis.modes,
+                            np.vstack([basis.sampled, basis.sampled]))
+        gm = ga.thermal_momentum_covariance(doubled, 0.3)
+        with pytest.raises(ValueError, match="more than"):
+            ga.to_real_space(gm, doubled, DERIVED)
+
+    @pytest.mark.parametrize("nulls", [-9, -1, 10])
+    def test_structural_nulls_outside_range_rejected(self, nulls):
+        with pytest.raises(ValueError, match="structural_nulls"):
+            ga.CovarianceMatrix(0.5 * np.eye(18), ga.REAL, structural_nulls=nulls)
+
+    def test_undeclared_null_in_full_rank_state_raises(self):
+        basis = film_basis(6, 6)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        assert gr.structural_nulls == 0
+        lying = ga.CovarianceMatrix(gr.data, ga.REAL, basis=basis, structural_nulls=1)
+        with pytest.raises(UnphysicalCovarianceError, match="structural nulls"):
+            ga.symplectic_spectrum(lying)
+
 
 class TestSymplecticSpectrum:
     def test_vacuum_identity(self):
@@ -123,6 +146,14 @@ class TestSymplecticSpectrum:
     def test_unphysical_raises(self):
         with pytest.raises(UnphysicalCovarianceError):
             ga.symplectic_spectrum(diagonal_covariance([0.25, 0.6]))
+
+    @pytest.mark.parametrize("r", [0.0, 0.1])
+    def test_not_positive_definite_raises(self, r):
+        # Q has a negative eigenvalue; R = 0 and R != 0 take different routes
+        data = np.array([[1.0, 2.0, r, 0.0], [2.0, 1.0, 0.0, 0.0],
+                         [r, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(UnphysicalCovarianceError, match="positive definite"):
+            ga.symplectic_spectrum(ga.CovarianceMatrix(data, ga.MOMENTUM))
 
     def test_roundoff_clamped(self):
         g = diagonal_covariance([0.5 - 5e-10])
@@ -309,15 +340,3 @@ class TestClassicalRegime:
         mi_cold = run_volume_sweep(cold).mi_values
         assert mi_hot.min() > 0.1
         assert np.max(np.abs(mi_hot - mi_cold)) <= 1e-6
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        basis = film_basis(3, 3, BoundarySpec.neumann())
-        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
-        path = tmp_path / "gamma.csv"
-        ga.save_covariance_csv(gr, path)
-        loaded = ga.load_covariance_csv(path)
-        assert loaded.labelling == ga.REAL
-        assert loaded.structural_nulls == 1
-        assert np.array_equal(loaded.data, gr.data)

@@ -191,13 +191,6 @@ class TestEvaluateSweep:
                min(q.stats.boundary_length for q in sweep.raw_points)]
         assert sweep.points[-1].mi == pytest.approx(np.mean(dup))
 
-    def test_threaded_matches_serial(self):
-        grid = Grid(5e-3, 5e-3, 8, 8)
-        gamma = thermal_state(grid, BoundarySpec.dirichlet())
-        serial = rg.run_volume_sweep(gamma, threads=1)
-        threaded = rg.run_volume_sweep(gamma, threads=4)
-        assert np.allclose(serial.mi_values, threaded.mi_values, rtol=1e-12)
-
 
 class TestMiMap:
     def test_ring_nan_and_symmetry(self):
