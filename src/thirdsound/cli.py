@@ -169,12 +169,7 @@ def build_film(cfg: RunConfig) -> FilmParams:
 
 
 def build_boundary(cfg: RunConfig) -> BoundarySpec:
-    kind = BoundaryKind(cfg.boundary_kind)
-    if kind is BoundaryKind.ROBIN:
-        return BoundarySpec.robin(cfg.boundary_alpha)
-    if kind is BoundaryKind.NEUMANN:
-        return BoundarySpec.neumann()
-    return BoundarySpec.dirichlet()
+    return BoundarySpec(BoundaryKind(cfg.boundary_kind), alpha=cfg.boundary_alpha)
 
 
 def build_grid(cfg: RunConfig) -> Grid:

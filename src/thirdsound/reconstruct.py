@@ -9,7 +9,8 @@ so an equal-time two-point function of a single quadrature carries beat
 notes at |w_m - w_n| and w_m + w_n whose amplitudes are linear in the
 initial mode covariances.  Sampling one two-point function over time and
 regressing those trigonometric amplitudes therefore recovers the full
-initial momentum-space covariance (Q~, P~, R~).
+initial momentum-space covariance (Q~, P~, R~).  This is the free-evolution
+readout of Gluza et al., Commun. Phys. 3, 12 (2020).
 
 The field-field model, with mode prefactor c / (K sqrt(w_m w_n)) and
 sampled mode functions G, reads
@@ -22,21 +23,31 @@ and the momentum-momentum model swaps Q~ <-> P~, inverts the prefactor
 and flips the sign of the R~ term (both follow directly from the rotation
 above).  Because G has orthonormal rows, conjugating a measured sample
 with G and the inverse prefactors recovers the mode-space observable
-Y_mn(t) exactly, and the regression decouples into independent
-4-unknown least-squares problems per mode pair; this is the same
-least-squares minimiser as a pixel-space normal-equations assembly at a
-tiny fraction of the cost.
+Y_mn(t) exactly, and the regression decouples into one least-squares
+problem per mode pair.  With c_m = cos(w_m t) and s_m = sin(w_m t), pair
+(m, n) of the field quadrature has the design columns
 
-Pairs with degenerate frequencies (w_m = w_n, generic on square grids)
-carry no beat note, so the antisymmetric part of R~ is unidentifiable
-there; those pairs are solved with a small ridge penalty (which pins the
-antisymmetric part to zero) and reported in `unidentifiable_pairs`.
+    c_m c_n, s_m s_n, c_m s_n, s_m c_n    for    Q~_mn, P~_mn, R~_mn, R~_nm;
+
+its rows for (m, n) and (n, m) coincide, so it fits the symmetric part of
+Y.  The momentum quadrature swaps c and s and flips the sign of R~.
+
+`fit_covariance` solves the normal equations A^T A x = A^T y of every pair
+at once.  Each entry of A^T A is a time sum of products of c^2, s^2 and
+c s for modes m and n, i.e. an entry of one of six n x n products such as
+(C^2)^T C^2; A^T y accumulates one sample at a time.  On the diagonal and
+on pairs with degenerate frequencies (w_m = w_n, generic on square grids)
+c_m s_n = s_m c_n: there is no beat note and the antisymmetric part of R~
+is unidentifiable.  Those pairs are solved with the three columns
+(c_m c_n, s_m s_n, c_m s_n + s_m c_n), which sets R~_mn = R~_nm (exact on
+the diagonal), and the degenerate off-diagonal ones are reported in
+`unidentifiable_pairs`.  A pair whose A^T A has a condition number of at
+least RANK_COND (cond(A) >= 1e6) is rank deficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +59,12 @@ FIELD = "field"
 MOMENTUM_QUADRATURE = "momentum"
 
 DEGENERACY_RTOL = 1e-9
-RIDGE_FRACTION = 1e-10
+RANK_COND = 1e12         # cond(A^T A) at which a pair's design counts as rank deficient
+
+# sampling rules of `suggested_times`
+NYQUIST_FACTOR = 4.0     # dt <= pi / (NYQUIST_FACTOR * w_max)
+SPAN_CYCLES = 2.0        # span in periods of the smallest nonzero frequency gap
+MAX_SAMPLES = 50000
 
 
 @dataclass
@@ -57,7 +73,7 @@ class TwoPointSeries:
 
     quadrature: str
     times: np.ndarray
-    samples: np.ndarray          # (n_times, n_pix, n_pix), symmetric
+    samples: np.ndarray          # (n_times, n_pix, n_pix), symmetric to 1e-12 relative
     noise_sigma: float = 0.0
     seed: int | None = None
 
@@ -68,13 +84,12 @@ class TwoPointSeries:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if self.samples.shape[0] != self.times.size:
+        if self.samples.ndim != 3 or self.samples.shape[0] != self.times.size:
             raise ValueError("one sample matrix per time stamp required")
-        scale = np.max(np.abs(self.samples)) or 1.0
-        skew = np.max(np.abs(self.samples - np.transpose(self.samples, (0, 2, 1))))
+        scale = max(self.samples.max(), -self.samples.min()) or 1.0
+        skew = max(np.max(np.abs(s - s.T)) for s in self.samples)
         if skew > 1e-12 * scale:
             raise ValueError("two-point samples must be symmetric to 1e-12 relative")
-        self.samples = 0.5 * (self.samples + np.transpose(self.samples, (0, 2, 1)))
 
     @property
     def n_times(self) -> int:
@@ -91,16 +106,11 @@ class ReconstructionResult:
     pt: np.ndarray                      # recovered P~(0)
     rt: np.ndarray                      # recovered R~(0)
     residual_rms: float                 # pixel-space model residual
-    condition: float                    # worst per-pair design conditioning
+    condition: float                    # largest per-pair cond(A)
     unidentifiable_pairs: list = field(default_factory=list)
 
     def gamma(self, basis=None) -> CovarianceMatrix:
-        n = self.qt.shape[0]
-        data = np.empty((2 * n, 2 * n))
-        data[:n, :n] = self.qt
-        data[:n, n:] = self.rt
-        data[n:, :n] = self.rt.T
-        data[n:, n:] = self.pt
+        data = np.block([[self.qt, self.rt], [self.rt.T, self.pt]])
         return CovarianceMatrix(data, MOMENTUM, basis=basis)
 
 
@@ -112,14 +122,8 @@ def evolve_mode_covariance(gamma0: CovarianceMatrix, t: float) -> CovarianceMatr
     if gamma0.basis is None:
         raise ValueError("covariance carries no mode basis")
     omegas = gamma0.basis.omegas
-    c, s = np.cos(omegas * t), np.sin(omegas * t)
-    n = gamma0.n
-    rot = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    rot[idx, idx] = c
-    rot[idx, n + idx] = s
-    rot[n + idx, idx] = -s
-    rot[n + idx, n + idx] = c
+    c, s = np.diag(np.cos(omegas * t)), np.diag(np.sin(omegas * t))
+    rot = np.block([[c, s], [-s, c]])
     return CovarianceMatrix(rot @ gamma0.data @ rot.T, MOMENTUM, basis=gamma0.basis)
 
 
@@ -127,13 +131,12 @@ def _mode_observable(gamma0: CovarianceMatrix, omegas: np.ndarray, t: float,
                      quadrature: str) -> np.ndarray:
     c, s = np.cos(omegas * t), np.sin(omegas * t)
     qt, pt, rt = gamma0.q_block, gamma0.p_block, gamma0.r_block
-    if quadrature == FIELD:
-        y = (c[:, None] * qt * c[None, :] + s[:, None] * pt * s[None, :]
-             + c[:, None] * rt * s[None, :] + s[:, None] * rt.T * c[None, :])
-    else:
-        y = (c[:, None] * pt * c[None, :] + s[:, None] * qt * s[None, :]
-             - s[:, None] * rt * c[None, :] - c[:, None] * rt.T * s[None, :])
-    return y
+    if quadrature != FIELD:
+        # the momentum model is the field model with cos and sin swapped
+        # and R~ negated
+        c, s, rt = s, c, -rt
+    return (c[:, None] * qt * c[None, :] + s[:, None] * pt * s[None, :]
+            + c[:, None] * rt * s[None, :] + s[:, None] * rt.T * c[None, :])
 
 
 def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
@@ -172,98 +175,97 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
                           noise_sigma=noise_sigma, seed=seed)
 
 
-def suggested_times(basis, nyquist_factor: float = 4.0, span_cycles: float = 2.0,
-                    max_samples: int = 50000) -> np.ndarray:
-    """Uniform time grid satisfying the default sampling rules:
-    dt <= pi / (nyquist_factor * w_max) and a total span of `span_cycles`
+def suggested_times(basis) -> np.ndarray:
+    """Uniform time grid satisfying the sampling rules:
+    dt <= pi / (NYQUIST_FACTOR * w_max) and a total span of SPAN_CYCLES
     full periods of the smallest nonzero frequency gap."""
     omegas = np.sort(np.unique(basis.omegas))
     gaps = np.diff(omegas)
     gaps = gaps[gaps > DEGENERACY_RTOL * omegas[-1]]
     if gaps.size == 0:
         raise ValueError("basis has no resolvable frequency gaps")
-    span = span_cycles * 2.0 * np.pi / gaps.min()
-    dt = np.pi / (nyquist_factor * omegas[-1])
+    span = SPAN_CYCLES * 2.0 * np.pi / gaps.min()
+    dt = np.pi / (NYQUIST_FACTOR * omegas[-1])
     n = int(np.ceil(span / dt)) + 1
-    if n > max_samples:
-        raise ValueError(f"default sampling would need {n} > {max_samples} samples")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"default sampling would need {n} > {MAX_SAMPLES} samples")
     return np.arange(n) * dt
 
 
 def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> ReconstructionResult:
-    """Least-squares recovery of (Q~, P~, R~) at t=0 from a two-point series."""
+    """Least-squares recovery of (Q~, P~, R~) at t=0 from a two-point series.
+
+    The normal equations of every mode pair are built from Gram sums and
+    from right-hand sides accumulated one sample at a time, then solved in
+    two batches: diagonal and degenerate pairs with three unknowns
+    (R~_mn = R~_nm), every other pair with four.  `condition` is the
+    largest cond(A) over all pairs.  Raises RankDeficiencyError if any
+    pair's cond(A^T A) reaches RANK_COND.
+    """
     if series.n_pixels != basis.grid.n_pixels:
         raise ValueError("series pixel count does not match the basis grid")
     g = basis.sampled
     d_phi, d_eta = _mode_prefactors(basis, derived)
-    d = d_phi if series.quadrature == FIELD else d_eta
+    field_quadrature = series.quadrature == FIELD
+    d = d_phi if field_quadrature else d_eta
     omegas = basis.omegas
     n = basis.n_modes
-    nt = series.n_times
+    phase = np.outer(series.times, omegas)                  # (nt, n)
+    cos_t, sin_t = np.cos(phase), np.sin(phase)
+    if not field_quadrature:   # swap cos and sin, negate R~ (see _mode_observable)
+        cos_t, sin_t = sin_t, cos_t
 
-    # project samples onto the mode basis: Y(t) = D^-1 G M(t) G^T D^-1
-    y_obs = np.empty((nt, n, n))
-    for it in range(nt):
-        y_obs[it] = (g @ series.samples[it] @ g.T) / np.outer(d, d)
+    # gram[m, n, i, j] = sum_t f_i f_j over the columns
+    # f = (c_m c_n, s_m s_n, c_m s_n, s_m c_n)
+    c2, s2, cs = cos_t ** 2, sin_t ** 2, cos_t * sin_t
+    cc, ss, xx = c2.T @ c2, s2.T @ s2, cs.T @ cs
+    c_s, c_x, x_s = c2.T @ s2, c2.T @ cs, cs.T @ s2
+    gram = np.stack([np.stack([cc, xx, c_x, c_x.T], -1),
+                     np.stack([xx, ss, x_s, x_s.T], -1),
+                     np.stack([c_x, x_s, c_s, xx], -1),
+                     np.stack([c_x.T, x_s.T, xx, c_s.T], -1)], -2)
 
-    cos_t = np.cos(np.outer(series.times, omegas))   # (nt, n)
-    sin_t = np.sin(np.outer(series.times, omegas))
+    # right-hand sides sum_t f_i Y_mn from Y(t) = D^-1 G M(t) G^T D^-1,
+    # symmetrised because the (m, n) and (n, m) rows coincide
+    b_cc, b_ss, b_cs = np.zeros((3, n, n))
+    dd = np.outer(d, d)
+    for sample, c, s in zip(series.samples, cos_t, sin_t):
+        y = (g @ sample @ g.T) / dd
+        y = 0.5 * (y + y.T)
+        cy, sy = c[:, None] * y, s[:, None] * y
+        b_cc += cy * c
+        b_ss += sy * s
+        b_cs += cy * s
+    rhs = np.stack([b_cc, b_ss, b_cs, b_cs.T], -1)
 
-    qt = np.zeros((n, n))
-    pt = np.zeros((n, n))
-    rt = np.zeros((n, n))
-    unidentifiable = []
-    worst_cond = 0.0
-    omega_scale = omegas[-1] if omegas.size else 1.0
+    iu, ju = np.triu_indices(n)
+    tied = np.abs(omegas[iu] - omegas[ju]) <= DEGENERACY_RTOL * omegas[-1]
+    off = tied & (iu != ju)
+    unidentifiable = list(zip(iu[off].tolist(), ju[off].tolist()))
 
-    def solve(a_mat, rhs, degenerate):
-        nonlocal worst_cond
-        sing = np.linalg.svd(a_mat, compute_uv=False)
-        rank = int(np.count_nonzero(sing > sing[0] * 1e-12)) if sing[0] > 0 else 0
-        if rank < a_mat.shape[1]:
-            if not degenerate:
-                raise RankDeficiencyError(
-                    f"design matrix rank {rank} < {a_mat.shape[1]}; "
-                    "add time samples spanning the slowest beat period")
-            ridge = RIDGE_FRACTION * sing[0] ** 2
-            ata = a_mat.T @ a_mat + ridge * np.eye(a_mat.shape[1])
-            sol = np.linalg.solve(ata, a_mat.T @ rhs)
-        else:
-            sol = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
-            worst_cond = max(worst_cond, sing[0] / sing[-1])
-        return sol
+    # tied pairs: the R~ columns merge into f_3 + f_4
+    merge = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
+    a4, b4 = gram[iu, ju], rhs[iu, ju]
+    a3, b3 = merge.T @ a4[tied] @ merge, b4[tied] @ merge
+    a4, b4 = a4[~tied], b4[~tied]
+    worst = np.concatenate([np.linalg.cond(a3), np.linalg.cond(a4)]).max()
+    if not worst < RANK_COND:
+        raise RankDeficiencyError(
+            f"design condition number {np.sqrt(worst):.3g} >= {np.sqrt(RANK_COND):.0g}; "
+            "add time samples spanning the slowest beat period")
+    sol = np.empty((iu.size, 4))
+    sol[tied] = np.linalg.solve(a3, b3[..., None])[:, [0, 1, 2, 2], 0]
+    sol[~tied] = np.linalg.solve(a4, b4[..., None])[..., 0]
+    if not field_quadrature:
+        sol[:, 2:] *= -1.0
 
-    for m in range(n):
-        cm, sm = cos_t[:, m], sin_t[:, m]
-        # diagonal: unknowns (Q~_mm, P~_mm, R~_mm); the momentum quadrature
-        # swaps the Q~/P~ roles and flips the R~ sign
-        if series.quadrature == FIELD:
-            cols = (cm * cm, sm * sm, 2.0 * cm * sm)
-        else:
-            cols = (sm * sm, cm * cm, -2.0 * cm * sm)
-        a_mat = np.column_stack(cols)
-        sol = solve(a_mat, y_obs[:, m, m], degenerate=False)
-        qt[m, m], pt[m, m], rt[m, m] = sol
-        for nn in range(m + 1, n):
-            cn, sn = cos_t[:, nn], sin_t[:, nn]
-            degenerate = abs(omegas[m] - omegas[nn]) <= DEGENERACY_RTOL * omega_scale
-            if degenerate:
-                unidentifiable.append((m, nn))
-            if series.quadrature == FIELD:
-                row_mn = (cm * cn, sm * sn, cm * sn, sm * cn)
-                row_nm = (cm * cn, sm * sn, sn * cm, cn * sm)
-            else:
-                row_mn = (sm * sn, cm * cn, -sm * cn, -cm * sn)
-                row_nm = (sm * sn, cm * cn, -cn * sm, -sn * cm)
-            a_mat = np.vstack([np.column_stack(row_mn), np.column_stack(row_nm)])
-            rhs = np.concatenate([y_obs[:, m, nn], y_obs[:, nn, m]])
-            sol = solve(a_mat, rhs, degenerate)
-            qt[m, nn] = qt[nn, m] = sol[0]
-            pt[m, nn] = pt[nn, m] = sol[1]
-            rt[m, nn], rt[nn, m] = sol[2], sol[3]
+    qt, pt, rt = np.zeros((3, n, n))
+    qt[iu, ju] = qt[ju, iu] = sol[:, 0]
+    pt[iu, ju] = pt[ju, iu] = sol[:, 1]
+    rt[iu, ju], rt[ju, iu] = sol[:, 2], sol[:, 3]
 
     result = ReconstructionResult(qt=qt, pt=pt, rt=rt, residual_rms=0.0,
-                                  condition=worst_cond,
+                                  condition=float(np.sqrt(worst)),
                                   unidentifiable_pairs=unidentifiable)
     gamma_fit = result.gamma(basis=basis)
     sq = 0.0
@@ -271,49 +273,5 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
         y = _mode_observable(gamma_fit, omegas, t, series.quadrature)
         model = g.T @ (d[:, None] * y * d[None, :]) @ g
         sq += float(np.mean((model - series.samples[it]) ** 2))
-    result.residual_rms = float(np.sqrt(sq / nt))
+    result.residual_rms = float(np.sqrt(sq / series.n_times))
     return result
-
-
-def save_series(series: TwoPointSeries, directory) -> None:
-    """CSV container: a manifest plus one matrix file per time sample."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "manifest.csv", "w") as fh:
-        fh.write("# thirdsound-series v1\n")
-        fh.write(f"# quadrature={series.quadrature} noise_sigma={series.noise_sigma:.17g} "
-                 f"seed={series.seed} n_pixels={series.n_pixels}\n")
-        fh.write("index,time,filename\n")
-        for i, t in enumerate(series.times):
-            fh.write(f"{i},{t:.17g},sample_{i:05d}.csv\n")
-    for i in range(series.n_times):
-        np.savetxt(directory / f"sample_{i:05d}.csv", series.samples[i],
-                   delimiter=",", fmt="%.17g")
-
-
-def load_series(directory) -> TwoPointSeries:
-    directory = Path(directory)
-    quadrature, noise_sigma, seed = FIELD, 0.0, None
-    times, files = [], []
-    with open(directory / "manifest.csv") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "index,time,filename":
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if key == "quadrature":
-                        quadrature = value
-                    elif key == "noise_sigma":
-                        noise_sigma = float(value)
-                    elif key == "seed" and value != "None":
-                        seed = int(value)
-                continue
-            _, t, name = line.split(",")
-            times.append(float(t))
-            files.append(name)
-    samples = np.array([np.loadtxt(directory / name, delimiter=",", ndmin=2)
-                        for name in files])
-    return TwoPointSeries(quadrature=quadrature, times=np.array(times),
-                          samples=samples, noise_sigma=noise_sigma, seed=seed)

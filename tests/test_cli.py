@@ -187,6 +187,12 @@ class TestCommands:
         assert cli.main(["params", "--config", write_config(tmp_path)]) == 3
         assert "cannot allocate" in capsys.readouterr().err
 
+    def test_alpha_on_dirichlet_exit_2(self, tmp_path, capsys):
+        cfg = BASELINE.replace("boundary.kind = dirichlet",
+                               "boundary.kind = dirichlet\nboundary.alpha = 200.0")
+        assert cli.main(["params", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "only meaningful for Robin" in capsys.readouterr().err
+
     def test_unstable_robin_exit_3(self, tmp_path, capsys):
         cfg = BASELINE.replace("boundary.kind = dirichlet",
                                "boundary.kind = robin\nboundary.alpha = -100")

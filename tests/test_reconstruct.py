@@ -12,8 +12,8 @@ FILM = FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
 DERIVED = derive_params(FILM)
 
 
-def film_basis(nx, ny, spec=None):
-    grid = Grid(5e-3, 5e-3, nx, ny)
+def film_basis(nx, ny, spec=None, ly=5e-3):
+    grid = Grid(5e-3, ly, nx, ny)
     return build_basis(grid, spec or BoundarySpec.dirichlet(),
                        lambda k: dispersion_thin_film(k, DERIVED, FILM.h0))
 
@@ -23,6 +23,19 @@ def excited_covariance(basis, mode=0, value=2.0):
     diag = np.full(n, 0.5)
     diag[mode] = value
     return ga.CovarianceMatrix(np.diag(np.concatenate([diag, diag])), ga.MOMENTUM,
+                               basis=basis)
+
+
+def squeezed_covariance(basis):
+    """A squeezed thermal state exp(Omega H) diag(1.7) exp(Omega H)^T with
+    random symmetric H; its R~ has an antisymmetric part."""
+    import scipy.linalg
+    n = basis.n_modes
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(2 * n, 2 * n)) * 0.1
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    s = scipy.linalg.expm(omega @ (0.5 * (h + h.T)))
+    return ga.CovarianceMatrix(s @ np.diag(np.full(2 * n, 1.7)) @ s.T, ga.MOMENTUM,
                                basis=basis)
 
 
@@ -94,13 +107,7 @@ class TestSynthesis:
         # evolved covariance transformed to the lattice (and likewise for
         # the momentum quadrature), tying synthesis to evolution
         basis = film_basis(3, 3)
-        rng = np.random.default_rng(4)
-        h = rng.normal(size=(18, 18)) * 0.1
-        omega = np.block([[np.zeros((9, 9)), np.eye(9)], [-np.eye(9), np.zeros((9, 9))]])
-        import scipy.linalg
-        s = scipy.linalg.expm(omega @ (0.5 * (h + h.T)))
-        g0 = ga.CovarianceMatrix(s @ np.diag(np.tile(np.full(9, 1.7), 2)) @ s.T,
-                                 ga.MOMENTUM, basis=basis)
+        g0 = squeezed_covariance(basis)
         for t in (0.0, 0.013, 0.2):
             gt = ga.to_real_space(rc.evolve_mode_covariance(g0, t), basis, DERIVED)
             phi = rc.synth_two_point(g0, basis, DERIVED, [t], quadrature=rc.FIELD)
@@ -131,18 +138,6 @@ class TestSeriesValidation:
         bad[0, 0, 1] = 1.0
         with pytest.raises(ValueError):
             rc.TwoPointSeries(rc.FIELD, [0.0], bad)
-
-    def test_csv_round_trip(self, tmp_path):
-        basis = film_basis(3, 3)
-        g0 = ga.thermal_momentum_covariance(basis, 0.3)
-        series = rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.02, 0.05],
-                                    noise_sigma=1e-4, seed=7)
-        rc.save_series(series, tmp_path / "series")
-        loaded = rc.load_series(tmp_path / "series")
-        assert loaded.quadrature == series.quadrature
-        assert loaded.seed == 7
-        assert np.allclose(loaded.times, series.times)
-        assert np.allclose(loaded.samples, series.samples, rtol=1e-15)
 
 
 class TestFit:
@@ -177,8 +172,8 @@ class TestFit:
 
     def test_degenerate_pair_antisymmetric_part_regularized(self):
         # plant an off-diagonal R~ with an antisymmetric part on a
-        # degenerate pair: only the symmetric part is identifiable and the
-        # ridge splits the recovered value evenly
+        # degenerate pair: only the symmetric part is identifiable, and the
+        # fit's single unknown R~_mn = R~_nm recovers it split evenly
         basis = film_basis(4, 4)
         m, n = sorted_degenerate_pair = None, None
         for (a, b) in [(i, j) for i in range(basis.n_modes)
@@ -202,7 +197,7 @@ class TestFit:
         assert result.qt[m, n] == pytest.approx(0.0, abs=1e-6)
 
     def test_field_and_momentum_series_agree(self):
-        basis = film_basis(3, 4)   # rectangular grid avoids degeneracy
+        basis = film_basis(3, 4)   # 3 pairs degenerate on this square cell
         g0 = ga.thermal_momentum_covariance(basis, 0.3)
         times = rc.suggested_times(basis)
         fits = []
@@ -210,6 +205,20 @@ class TestFit:
             series = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature)
             fits.append(rc.fit_covariance(series, basis, DERIVED).gamma().data)
         assert np.allclose(fits[0], fits[1], atol=1e-6 * np.max(np.abs(g0.data)))
+
+    @pytest.mark.parametrize("quadrature", [rc.FIELD, rc.MOMENTUM_QUADRATURE])
+    def test_antisymmetric_r_recovered_from_either_quadrature(self, quadrature):
+        # a non-square cell has no degenerate pairs, so all of R~ is
+        # identifiable, including the part the momentum fit sign-flips
+        basis = film_basis(3, 4, ly=3.7e-3)
+        g0 = squeezed_covariance(basis)
+        assert np.max(np.abs(g0.r_block - g0.r_block.T)) > 0.01
+        series = rc.synth_two_point(g0, basis, DERIVED, rc.suggested_times(basis),
+                                    quadrature=quadrature)
+        result = rc.fit_covariance(series, basis, DERIVED)
+        assert result.unidentifiable_pairs == []
+        err = np.max(np.abs(result.gamma().data - g0.data)) / np.max(np.abs(g0.data))
+        assert err < 1e-8
 
     def test_noiseless_residual_stays_zero_as_times_grow(self):
         basis = film_basis(3, 3)
