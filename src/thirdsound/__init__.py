@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, NumericalError, RankDeficiencyError,
                      ThirdSoundError, UnphysicalCovarianceError,
                      UnstableRobinError)
-from .physics import (FilmParams, DerivedParams, PhysicalConstants,
-                      bose_einstein, derive_params, dispersion_linear,
-                      dispersion_thin_film, quantum_regime_report,
-                      HBAR, K_B)
+from .physics import (FilmParams, DerivedParams, bose_einstein, derive_params,
+                      dispersion_linear, dispersion_thin_film,
+                      quantum_regime_report, HBAR, K_B)
 from .geometry import (BoundaryKind, BoundarySpec, Grid, Mode, ModeBasis,
                        build_basis, solve_wavenumbers_1d)
 from .gaussian import (CovarianceMatrix, SymplecticSpectrum,

@@ -23,7 +23,7 @@ from . import __version__, fitting, gaussian, reconstruct, regions
 from .errors import (ConfigError, NumericalError, ThirdSoundError,
                      UnphysicalCovarianceError)
 from .fitting import SINE_ARGUMENT_CONVENTION
-from .geometry import BoundaryKind, BoundarySpec, Grid, build_basis
+from .geometry import BoundarySpec, Grid, build_basis
 from .physics import (FilmParams, derive_params, dispersion_thin_film,
                       quantum_regime_report)
 
@@ -39,9 +39,9 @@ class RunConfig:
     film_h0: float
     film_alpha_vdw: float
     film_temperature: float
-    film_sigma: float = 3.54e-4
-    film_rho: float = 145.0
-    film_m4: float = 6.6465e-27
+    film_sigma: float = FilmParams.sigma
+    film_rho: float = FilmParams.rho
+    film_m4: float = FilmParams.m4
     # grid
     grid_lx: float = 5e-3
     grid_ly: float = 5e-3
@@ -159,33 +159,21 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # pipeline assembly helpers
 
-def build_film(cfg: RunConfig) -> FilmParams:
-    try:
-        return FilmParams(h0=cfg.film_h0, alpha_vdw=cfg.film_alpha_vdw,
-                          temperature=cfg.film_temperature, sigma=cfg.film_sigma,
-                          rho=cfg.film_rho, m4=cfg.film_m4)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def build_boundary(cfg: RunConfig) -> BoundarySpec:
-    return BoundarySpec(BoundaryKind(cfg.boundary_kind), alpha=cfg.boundary_alpha)
-
-
-def build_grid(cfg: RunConfig) -> Grid:
-    try:
-        return Grid(lx=cfg.grid_lx, ly=cfg.grid_ly, nx=cfg.grid_nx, ny=cfg.grid_ny)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _film_basis(cfg: RunConfig):
+    """Film, derived constants and mode basis of a config."""
+    film = FilmParams(h0=cfg.film_h0, alpha_vdw=cfg.film_alpha_vdw,
+                      temperature=cfg.film_temperature, sigma=cfg.film_sigma,
+                      rho=cfg.film_rho, m4=cfg.film_m4)
+    derived = derive_params(film)
+    grid = Grid(lx=cfg.grid_lx, ly=cfg.grid_ly, nx=cfg.grid_nx, ny=cfg.grid_ny)
+    basis = build_basis(grid, BoundarySpec(cfg.boundary_kind, alpha=cfg.boundary_alpha),
+                        lambda k: dispersion_thin_film(k, derived, film.h0))
+    return film, derived, basis
 
 
 def build_pipeline(cfg: RunConfig):
     """Film -> derived constants -> mode basis -> thermal real-space state."""
-    film = build_film(cfg)
-    derived = derive_params(film)
-    grid = build_grid(cfg)
-    basis = build_basis(grid, build_boundary(cfg),
-                        lambda k: dispersion_thin_film(k, derived, film.h0))
+    film, derived, basis = _film_basis(cfg)
     gamma_modes = gaussian.thermal_momentum_covariance(basis, film.temperature)
     gamma_real = gaussian.to_real_space(gamma_modes, basis, derived)
     return film, derived, basis, gamma_modes, gamma_real
@@ -309,11 +297,7 @@ def write_heatmap_svg(path: Path, grid_values: np.ndarray, title: str) -> None:
 # commands
 
 def cmd_params(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    film = build_film(cfg)
-    derived = derive_params(film)
-    grid = build_grid(cfg)
-    basis = build_basis(grid, build_boundary(cfg),
-                        lambda k: dispersion_thin_film(k, derived, film.h0))
+    film, derived, basis = _film_basis(cfg)
     report = quantum_regime_report(basis, film.temperature)
     print(f"film: h0={film.h0:g} m, alpha_vdw={film.alpha_vdw:g} m^5/s^2, "
           f"T={film.temperature:g} K")
@@ -324,7 +308,7 @@ def cmd_params(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     print(f"         K={derived.luttinger_k:.4g} m")
     omegas = basis.omegas
     print(f"basis: {cfg.boundary_kind}, {basis.n_modes} modes on "
-          f"{grid.nx}x{grid.ny} pixels")
+          f"{basis.grid.nx}x{basis.grid.ny} pixels")
     print(f"       omega range {omegas.min():.6g} .. {omegas.max():.6g} rad/s "
           f"({omegas.min()/(2*np.pi):.6g} .. {omegas.max()/(2*np.pi):.6g} Hz)")
     print(f"regime: {report.n_quantum} quantum / {report.n_classical} classical modes "
@@ -332,27 +316,40 @@ def cmd_params(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     print(f"        all modes quantum below T_q={report.t_quantum:.4g} K")
 
 
-def cmd_sweep_volume(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    _, _, _, _, gamma = build_pipeline(cfg)
-    sweep = regions.run_volume_sweep(gamma, buffer=cfg.sweep_buffer,
-                                     include_cell_boundary=cfg.sweep_include_cell_boundary)
-    header = _header_lines(cfg, "sweep-volume", {"protocol": sweep.protocol})
+def _volume_sweep(cfg: RunConfig):
+    return regions.run_volume_sweep(build_pipeline(cfg)[4], buffer=cfg.sweep_buffer,
+                                    include_cell_boundary=cfg.sweep_include_cell_boundary)
+
+
+def _area_sweep(cfg: RunConfig):
+    return regions.run_area_sweep(build_pipeline(cfg)[4], cfg.sweep_fixed_volume,
+                                  include_cell_boundary=cfg.sweep_include_cell_boundary,
+                                  buffer=cfg.sweep_buffer)
+
+
+def _write_volume_csv(cfg: RunConfig, out_dir: Path, command: str, sweep,
+                      footer: list | None = None) -> Path:
+    """sweep_volume.csv: one row per point, its masks in the header."""
+    header = _header_lines(cfg, command, {"protocol": sweep.protocol})
     for i, p in enumerate(sweep.points):
         header.append(f"# point {i} mask_a={p.pair.a.rle()} mask_b={p.pair.b.rle()}")
     rows = [(p.pair.label["divider_index"], p.abscissa, p.mi) for p in sweep.points]
     path = out_dir / "sweep_volume.csv"
-    _write_csv(path, header, ["divider_index", "volume_m2", "mi_nats"], rows)
-    print(f"wrote {path} ({len(rows)} points)")
+    _write_csv(path, header, ["divider_index", "volume_m2", "mi_nats"], rows, footer=footer)
+    return path
+
+
+def cmd_sweep_volume(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
+    sweep = _volume_sweep(cfg)
+    path = _write_volume_csv(cfg, out_dir, "sweep-volume", sweep)
+    print(f"wrote {path} ({len(sweep.points)} points)")
     if svg:
         write_line_svg(out_dir / "sweep_volume.svg", sweep.abscissae, sweep.mi_values,
                        "mutual information vs subsystem volume", "volume (m^2)", "MI (nats)")
 
 
 def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    _, _, _, _, gamma = build_pipeline(cfg)
-    sweep = regions.run_area_sweep(gamma, cfg.sweep_fixed_volume,
-                                   include_cell_boundary=cfg.sweep_include_cell_boundary,
-                                   buffer=cfg.sweep_buffer)
+    sweep = _area_sweep(cfg)
     header = _header_lines(cfg, "sweep-area", {"protocol": sweep.protocol})
     for i, p in enumerate(sweep.raw_points):
         header.append(f"# raw point {i} shape={p.pair.label['width']}x"
@@ -368,8 +365,7 @@ def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def cmd_mi_map(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    _, _, _, _, gamma = build_pipeline(cfg)
-    field = regions.mi_map(gamma)
+    field = regions.mi_map(build_pipeline(cfg)[4])
     header = _header_lines(cfg, "mi-map", {"note": "outer pixel ring excluded"})
     rows = [(ix, iy, field[ix, iy])
             for ix in range(field.shape[0]) for iy in range(field.shape[1])
@@ -383,12 +379,9 @@ def cmd_mi_map(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 def cmd_reconstruct(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     film, derived, basis, gamma_modes, _ = build_pipeline(cfg)
+    times = reconstruct.suggested_times(basis)
     if cfg.reconstruct_n_times > 0:
-        full = reconstruct.suggested_times(basis)
-        take = min(cfg.reconstruct_n_times, full.size)
-        times = np.linspace(full[0], full[-1], take)
-    else:
-        times = reconstruct.suggested_times(basis)
+        times = np.linspace(times[0], times[-1], min(cfg.reconstruct_n_times, times.size))
     sigma = cfg.reconstruct_noise_sigma
     if sigma > 0 and cfg.reconstruct_noise_relative:
         probe = reconstruct.synth_two_point(gamma_modes, basis, derived, times[:1],
@@ -412,16 +405,12 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def cmd_fit_calabrese(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    _, _, _, _, gamma = build_pipeline(cfg)
-    sweep = regions.run_volume_sweep(gamma, buffer=cfg.sweep_buffer,
-                                     include_cell_boundary=cfg.sweep_include_cell_boundary)
+    sweep = _volume_sweep(cfg)
     fit = fitting.calabrese_fit(sweep)
-    header = _header_lines(cfg, "fit-calabrese", {"protocol": sweep.protocol})
-    rows = [(p.pair.label["divider_index"], p.abscissa, p.mi) for p in sweep.points]
     footer = [f"# fit kappa1={fit.kappa1:.17g} kappa2={fit.kappa2:.17g} "
               f"kappa3={fit.kappa3:.17g} rms={fit.rms:.17g} converged={fit.converged}"]
-    _write_csv(out_dir / "sweep_volume.csv", header,
-               ["divider_index", "volume_m2", "mi_nats"], rows, footer=footer)
+    _write_volume_csv(cfg, out_dir, "fit-calabrese", sweep, footer=footer)
+    header = _header_lines(cfg, "fit-calabrese", {"protocol": sweep.protocol})
     _write_csv(out_dir / "fit_calabrese.csv", header,
                ["kappa1", "kappa2", "kappa3", "rms"],
                [(fit.kappa1, fit.kappa2, fit.kappa3, fit.rms)])
@@ -437,10 +426,7 @@ def cmd_fit_calabrese(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def cmd_fit_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    _, _, _, _, gamma = build_pipeline(cfg)
-    sweep = regions.run_area_sweep(gamma, cfg.sweep_fixed_volume,
-                                   include_cell_boundary=cfg.sweep_include_cell_boundary,
-                                   buffer=cfg.sweep_buffer)
+    sweep = _area_sweep(cfg)
     fit = fitting.area_law_fit(sweep)
     header = _header_lines(cfg, "fit-area", {"protocol": sweep.protocol,
                                              "superlinear": fit.superlinear})

@@ -16,8 +16,9 @@ retained mode span and physicality is preserved.  When the basis spans a
 proper subspace of the pixel lattice (Neumann with the zero mode dropped),
 the real-space matrix acquires exact null directions; these are structural
 (the lattice simply has fewer physical collective degrees of freedom than
-pixels), are tracked via ``structural_nulls`` and are projected out of the
-spectrum rather than flagged as uncertainty violations.
+pixels).  Their number ``structural_nulls`` is derived from the basis, pixels
+minus modes for a state on the whole lattice, and they are projected out of
+the spectrum rather than flagged as uncertainty violations.
 
 Symplectic spectra come from one exact Williamson route: Cholesky-factor
 Gamma = L L^T and take the singular values of L^T Omega L, which reduce to
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalCovarianceError
-from .physics import bose_einstein, DerivedParams, PhysicalConstants
+from .physics import bose_einstein, DerivedParams
 
 MOMENTUM = "momentum"
 REAL = "real"
@@ -48,26 +49,24 @@ NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 class CovarianceMatrix:
     """Immutable symmetric covariance matrix with quadrature-block layout."""
 
-    def __init__(self, data: np.ndarray, labelling: str, basis=None,
-                 structural_nulls: int = 0):
+    def __init__(self, data: np.ndarray, labelling: str, basis=None):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2:
             raise ValueError(f"covariance must be square with even dimension, got {data.shape}")
         scale = np.max(np.abs(data))
+        if not np.isfinite(scale):
+            raise ValueError("covariance matrix has non-finite entries")
         if scale > 0 and np.max(np.abs(data - data.T)) > 1e-12 * scale:
             raise ValueError("covariance matrix is not symmetric to 1e-12 relative")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("covariance matrix has non-finite entries")
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
         self._data = 0.5 * (data + data.T)
         self._data.setflags(write=False)
         self.labelling = labelling
         self.basis = basis
-        self.structural_nulls = int(structural_nulls)
-        if not 0 <= self.structural_nulls <= self.n:
-            raise ValueError(f"structural_nulls must lie in 0..{self.n}, "
-                             f"got {self.structural_nulls}")
+        if self.structural_nulls < 0:
+            raise ValueError(f"basis has {basis.n_modes} modes, more than the "
+                             f"{basis.grid.n_pixels} pixels it is sampled on")
 
     @property
     def data(self) -> np.ndarray:
@@ -76,6 +75,13 @@ class CovarianceMatrix:
     @property
     def n(self) -> int:
         return self._data.shape[0] // 2
+
+    @property
+    def structural_nulls(self) -> int:
+        """Pixels minus modes for a real-space state on its basis's whole lattice, else 0."""
+        if self.labelling != REAL or self.basis is None or self.n != self.basis.grid.n_pixels:
+            return 0
+        return self.n - self.basis.n_modes
 
     @property
     def q_block(self) -> np.ndarray:
@@ -91,7 +97,7 @@ class CovarianceMatrix:
 
     def __repr__(self):
         return (f"CovarianceMatrix(n={self.n}, labelling={self.labelling!r}, "
-                f"structural_nulls={self.structural_nulls})")
+                f"nulls={self.structural_nulls})")
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,9 @@ class SymplecticSpectrum:
         return float(self.values[0])
 
 
-def thermal_momentum_covariance(basis, temperature: float,
-                                constants: PhysicalConstants = PhysicalConstants()) -> CovarianceMatrix:
+def thermal_momentum_covariance(basis, temperature: float) -> CovarianceMatrix:
     """Thermal state in the mode basis: Q~ = P~ = diag(n_T(omega) + 1/2), R~ = 0."""
-    diag = bose_einstein(basis.omegas, temperature, constants) + 0.5
+    diag = bose_einstein(basis.omegas, temperature) + 0.5
     return CovarianceMatrix(np.diag(np.concatenate([diag, diag])), MOMENTUM, basis=basis)
 
 
@@ -125,17 +130,12 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
         raise ValueError(f"covariance has {gamma.n} modes, basis has {basis.n_modes}")
-    n_pix = basis.grid.n_pixels
-    if basis.n_modes > n_pix:
-        raise ValueError(f"basis has {basis.n_modes} modes, more than the "
-                         f"{n_pix} pixels it is sampled on")
     g = basis.sampled
     d_phi, d_eta = _mode_prefactors(basis, derived)
     q = g.T @ (d_phi[:, None] * gamma.q_block * d_phi[None, :]) @ g
     p = g.T @ (d_eta[:, None] * gamma.p_block * d_eta[None, :]) @ g
     r = g.T @ (d_phi[:, None] * gamma.r_block * d_eta[None, :]) @ g
-    return CovarianceMatrix(np.block([[q, r], [r.T, p]]), REAL, basis=basis,
-                            structural_nulls=n_pix - basis.n_modes)
+    return CovarianceMatrix(np.block([[q, r], [r.T, p]]), REAL, basis=basis)
 
 
 def to_momentum_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
@@ -154,7 +154,7 @@ def to_momentum_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) ->
 
 
 def _drop_structural_nulls(gamma: CovarianceMatrix):
-    """Q, P and R on the complement of the declared structural nulls.
+    """Q, P and R on the complement of the structural nulls.
 
     The k nulls are the k lowest eigendirections of Q.  Each block must
     carry nothing on them; rotating both quadratures by the same orthogonal
@@ -170,7 +170,7 @@ def _drop_structural_nulls(gamma: CovarianceMatrix):
         residual = np.max(np.abs(block @ null))
         if residual > NULL_TOL * np.max(np.abs(block)):
             raise UnphysicalCovarianceError(
-                f"declared {k} structural nulls but {name} carries {residual:.3g} "
+                f"the basis leaves {k} structural nulls but {name} carries {residual:.3g} "
                 f"on them, above {NULL_TOL:g} of its largest entry")
     return keep.T @ q @ keep, keep.T @ p @ keep, keep.T @ r @ keep
 
@@ -193,7 +193,7 @@ def symplectic_spectrum(gamma: CovarianceMatrix) -> SymplecticSpectrum:
     = D chol(Gamma) and D Omega D = Omega, so the ~1e18 momentum-quadrature
     scale needs no balancing.
 
-    Declared structural nulls (a mode basis smaller than the pixel lattice)
+    Structural nulls (a mode basis smaller than the pixel lattice)
     are checked to be empty and projected out first.  A Gamma that is not
     positive definite on what remains, or a value below 1/2 - 1e-6, raises;
     values within 1e-9 below 1/2 are clamped.
@@ -253,10 +253,7 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     """
     idx = _selector_indices(gamma, selector)
     rows = np.concatenate([idx, gamma.n + idx])
-    sub = gamma.data[np.ix_(rows, rows)]
-    nulls = gamma.structural_nulls if idx.size == gamma.n else 0
-    return CovarianceMatrix(sub, gamma.labelling, basis=gamma.basis,
-                            structural_nulls=nulls)
+    return CovarianceMatrix(gamma.data[np.ix_(rows, rows)], gamma.labelling, basis=gamma.basis)
 
 
 def mutual_information(gamma: CovarianceMatrix, a, b) -> float:

@@ -109,18 +109,6 @@ class Grid:
     def n_pixels(self) -> int:
         return self.nx * self.ny
 
-    @property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.nx) + 0.5) * self.dx
-
-    @property
-    def y(self) -> np.ndarray:
-        return (np.arange(self.ny) + 0.5) * self.dy
-
-    def pixel_index(self, ix: int, iy: int) -> int:
-        """Flat pixel index; C order of an (nx, ny) array."""
-        return ix * self.ny + iy
-
 
 @dataclass(frozen=True)
 class Mode:
@@ -262,23 +250,6 @@ class ModeBasis:
     def __post_init__(self):
         self._omegas = np.array([m.omega for m in self.modes])
         self._ks = np.array([m.k for m in self.modes])
-
-    def to_real(self, coefficients: np.ndarray) -> np.ndarray:
-        """Field on pixels from mode coefficients (applies G^T)."""
-        coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (self.n_modes,):
-            raise ValueError(f"expected {self.n_modes} mode coefficients, "
-                             f"got shape {coefficients.shape}")
-        return self.sampled.T @ coefficients
-
-    def to_modes(self, pixel_values: np.ndarray) -> np.ndarray:
-        """Mode coefficients from pixel values (applies G).  Round trip
-        to_real(to_modes(v)) is the identity on the retained span."""
-        pixel_values = np.asarray(pixel_values, dtype=float)
-        if pixel_values.shape != (self.grid.n_pixels,):
-            raise ValueError(f"expected {self.grid.n_pixels} pixel values, "
-                             f"got shape {pixel_values.shape}")
-        return self.sampled @ pixel_values
 
     def orthonormality_defect(self) -> float:
         g = self.sampled

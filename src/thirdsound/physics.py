@@ -33,12 +33,6 @@ K_B = 1.380649e-23      # J / K
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = HBAR
-    k_b: float = K_B
-
-
-@dataclass(frozen=True)
 class FilmParams:
     """Film geometry and material constants.
 
@@ -73,7 +67,7 @@ class DerivedParams:
     luttinger_k: float  # Luttinger stiffness (m)
 
 
-def derive_params(film: FilmParams, constants: PhysicalConstants = PhysicalConstants()) -> DerivedParams:
+def derive_params(film: FilmParams) -> DerivedParams:
     """Derive effective gravity, capillary length, third-sound speed and
     Luttinger stiffness from film parameters.
 
@@ -88,7 +82,7 @@ def derive_params(film: FilmParams, constants: PhysicalConstants = PhysicalConst
         raise ThirdSoundError(f"effective gravity is not finite/positive: {g_eff}")
     c3 = math.sqrt(g_eff * film.h0)
     ell_c = math.sqrt(film.sigma / (film.rho * g_eff))
-    luttinger_k = constants.hbar * film.rho * c3 / (g_eff * film.m4**2)
+    luttinger_k = HBAR * film.rho * c3 / (g_eff * film.m4**2)
     return DerivedParams(g_eff=g_eff, ell_c=ell_c, c3=c3, luttinger_k=luttinger_k)
 
 
@@ -106,18 +100,18 @@ def dispersion_thin_film(k, derived: DerivedParams, h0: float):
     return out if out.ndim else float(out)
 
 
-def dispersion_linear(k, c: float, mass: float = 0.0, hbar: float = HBAR):
+def dispersion_linear(k, c: float, mass: float = 0.0):
     """Relativistic-form dispersion omega = c sqrt(k^2 + c^2 mass^2 / hbar^2)."""
     if c <= 0:
         raise ValueError("wave speed must be positive")
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("wavenumber must be non-negative")
-    out = c * np.sqrt(k**2 + (c * mass / hbar) ** 2)
+    out = c * np.sqrt(k**2 + (c * mass / HBAR) ** 2)
     return out if out.ndim else float(out)
 
 
-def bose_einstein(omega, temperature: float, constants: PhysicalConstants = PhysicalConstants()):
+def bose_einstein(omega, temperature: float):
     """Bose-Einstein occupation n = 1 / (exp(hbar omega / kB T) - 1).
 
     Returns 0 at temperature zero (exact vacuum).  omega must be strictly
@@ -132,7 +126,7 @@ def bose_einstein(omega, temperature: float, constants: PhysicalConstants = Phys
     if temperature == 0:
         out = np.zeros_like(omega_arr)
         return float(out) if scalar else out
-    x = constants.hbar * omega_arr / (constants.k_b * temperature)
+    x = HBAR * omega_arr / (K_B * temperature)
     out = 1.0 / np.expm1(x)
     return float(out) if scalar else out
 
@@ -159,8 +153,7 @@ class QuantumRegimeReport:
         return int(self.quantum.size - self.n_quantum)
 
 
-def quantum_regime_report(basis, temperature: float,
-                          constants: PhysicalConstants = PhysicalConstants()) -> QuantumRegimeReport:
+def quantum_regime_report(basis, temperature: float) -> QuantumRegimeReport:
     """Classify each mode of a solved basis as quantum- or classical-dominated."""
     omegas = np.asarray(basis.omegas, dtype=float)
     if temperature < 0:
@@ -168,7 +161,7 @@ def quantum_regime_report(basis, temperature: float,
     if temperature == 0:
         ratios = np.full(omegas.shape, np.inf)
     else:
-        ratios = constants.hbar * omegas / (constants.k_b * temperature)
-    t_quantum = constants.hbar * float(np.min(omegas)) / constants.k_b
+        ratios = HBAR * omegas / (K_B * temperature)
+    t_quantum = HBAR * float(np.min(omegas)) / K_B
     return QuantumRegimeReport(ratios=ratios, quantum=ratios >= 1.0,
                                t_quantum=t_quantum, temperature=temperature)

@@ -47,6 +47,7 @@ least RANK_COND (cond(A) >= 1e6) is rank deficient.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,6 @@ RANK_COND = 1e12         # cond(A^T A) at which a pair's design counts as rank d
 # sampling rules of `suggested_times`
 NYQUIST_FACTOR = 4.0     # dt <= pi / (NYQUIST_FACTOR * w_max)
 SPAN_CYCLES = 2.0        # span in periods of the smallest nonzero frequency gap
-MAX_SAMPLES = 50000
 
 
 @dataclass
@@ -82,11 +82,14 @@ class TwoPointSeries:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.quadrature not in (FIELD, MOMENTUM_QUADRATURE):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        if (self.times.ndim != 1 or not np.all(np.isfinite(self.times))
+                or np.any(np.diff(self.times) <= 0)):
+            raise ValueError("sample times must be finite and strictly increasing")
         if self.samples.ndim != 3 or self.samples.shape[0] != self.times.size:
             raise ValueError("one sample matrix per time stamp required")
-        scale = max(self.samples.max(), -self.samples.min()) or 1.0
+        scale = max(self.samples.max(), -self.samples.min())   # NaN or inf anywhere shows here
+        if not np.isfinite(scale):
+            raise ValueError("two-point samples must be finite")
         skew = max(np.max(np.abs(s - s.T)) for s in self.samples)
         if skew > 1e-12 * scale:
             raise ValueError("two-point samples must be symmetric to 1e-12 relative")
@@ -146,19 +149,25 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     i.i.d. Gaussian noise on each independent matrix entry.
 
     The t-th sample equals the corresponding block of the freely evolved
-    covariance transformed to the pixel lattice.
+    covariance transformed to the pixel lattice.  A sample array larger
+    than physical memory raises ValueError before anything is allocated.
     """
     if gamma0.labelling != MOMENTUM:
         raise ValueError("synthesis starts from a momentum-space covariance")
     if gamma0.n != basis.n_modes:
         raise ValueError("covariance dimension does not match the basis")
     times = np.asarray(times, dtype=float)
+    n_pix = basis.grid.n_pixels
+    need = times.size * n_pix * n_pix * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{times.size} samples of {n_pix}x{n_pix} pixels need {need} bytes, "
+                         f"more than the {have} bytes of physical memory")
     d_phi, d_eta = _mode_prefactors(basis, derived)
     d = d_phi if quadrature == FIELD else d_eta
     g = basis.sampled
     omegas = basis.omegas
     rng = np.random.default_rng(seed)
-    n_pix = basis.grid.n_pixels
     samples = np.empty((times.size, n_pix, n_pix))
     iu = np.triu_indices(n_pix)
     for it, t in enumerate(times):
@@ -186,10 +195,7 @@ def suggested_times(basis) -> np.ndarray:
         raise ValueError("basis has no resolvable frequency gaps")
     span = SPAN_CYCLES * 2.0 * np.pi / gaps.min()
     dt = np.pi / (NYQUIST_FACTOR * omegas[-1])
-    n = int(np.ceil(span / dt)) + 1
-    if n > MAX_SAMPLES:
-        raise ValueError(f"default sampling would need {n} > {MAX_SAMPLES} samples")
-    return np.arange(n) * dt
+    return np.arange(int(np.ceil(span / dt)) + 1) * dt
 
 
 def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> ReconstructionResult:

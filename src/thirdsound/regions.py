@@ -43,10 +43,6 @@ class RegionMask:
         return cls(grid, np.ones((grid.nx, grid.ny), dtype=bool))
 
     @classmethod
-    def empty(cls, grid: Grid) -> "RegionMask":
-        return cls(grid, np.zeros((grid.nx, grid.ny), dtype=bool))
-
-    @classmethod
     def from_rect(cls, grid: Grid, ix0: int, iy0: int, width: int, height: int) -> "RegionMask":
         """Axis-aligned rectangle of `width` pixels along x, `height` along y."""
         pixels = np.zeros((grid.nx, grid.ny), dtype=bool)
@@ -128,21 +124,6 @@ class RegionMask:
                 current, count = bool(v), 1
         runs.append(count)
         return f"{int(flat[0])}:" + ",".join(str(r) for r in runs)
-
-    @classmethod
-    def from_rle(cls, grid: Grid, text: str) -> "RegionMask":
-        head, _, body = text.partition(":")
-        bit = bool(int(head))
-        flat = np.zeros(grid.n_pixels, dtype=bool)
-        pos = 0
-        for run in body.split(","):
-            n = int(run)
-            flat[pos:pos + n] = bit
-            pos += n
-            bit = not bit
-        if pos != grid.n_pixels:
-            raise ValueError("run-length data does not cover the grid")
-        return cls(grid, flat.reshape(grid.nx, grid.ny))
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,19 @@ class TestCommands:
         sweep_text = (out / "sweep_volume.csv").read_text()
         assert "# fit kappa1=" in sweep_text
 
+    def test_fit_calabrese_sweep_csv_matches_sweep_volume(self, tmp_path):
+        # one writer: the two files differ only in the command line and the fit footer
+        cfg = write_config(tmp_path)
+        fit_out, sweep_out = tmp_path / "fit", tmp_path / "sweep"
+        assert cli.main(["fit-calabrese", "--config", cfg, "--out", str(fit_out)]) == 0
+        assert cli.main(["sweep-volume", "--config", cfg, "--out", str(sweep_out)]) == 0
+        fit_lines = (fit_out / "sweep_volume.csv").read_text().splitlines()
+        sweep_lines = (sweep_out / "sweep_volume.csv").read_text().splitlines()
+        assert fit_lines[-1].startswith("# fit kappa1=")
+        assert fit_lines[1] == "# command=fit-calabrese"
+        assert sweep_lines[1] == "# command=sweep-volume"
+        assert fit_lines[2:-1] == sweep_lines[2:]
+
     def test_fit_area_needs_enough_points(self, tmp_path, capsys):
         # 4-pixel rectangles on an 8x8 grid give only 3 shapes: 1x4, 2x2, 4x1
         out = tmp_path / "out"

@@ -98,26 +98,43 @@ class TestRealSpaceTransform:
 
     def test_more_modes_than_pixels_rejected(self):
         # a basis listing the 9 modes of a 3x3 Dirichlet lattice twice would
-        # declare structural_nulls = 9 - 18 = -9
+        # leave 9 - 18 = -9 structural nulls
         basis = film_basis(3, 3)
         doubled = ModeBasis(basis.grid, basis.boundary, basis.modes + basis.modes,
                             np.vstack([basis.sampled, basis.sampled]))
         gm = ga.thermal_momentum_covariance(doubled, 0.3)
         with pytest.raises(ValueError, match="more than"):
             ga.to_real_space(gm, doubled, DERIVED)
-
-    @pytest.mark.parametrize("nulls", [-9, -1, 10])
-    def test_structural_nulls_outside_range_rejected(self, nulls):
-        with pytest.raises(ValueError, match="structural_nulls"):
-            ga.CovarianceMatrix(0.5 * np.eye(18), ga.REAL, structural_nulls=nulls)
+        with pytest.raises(ValueError, match="more than"):
+            ga.CovarianceMatrix(0.5 * np.eye(18), ga.REAL, basis=doubled)
 
     def test_undeclared_null_in_full_rank_state_raises(self):
-        basis = film_basis(6, 6)
+        # fill the Neumann state's null (the uniform vector u) in Q: the
+        # basis still leaves one structural null, which Q now carries
+        basis = film_basis(6, 6, BoundarySpec.neumann())
         gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
-        assert gr.structural_nulls == 0
-        lying = ga.CovarianceMatrix(gr.data, ga.REAL, basis=basis, structural_nulls=1)
+        n = gr.n
+        u = np.full(n, 1.0 / math.sqrt(n))
+        data = gr.data.copy()
+        data[:n, :n] += 1e-3 * np.max(np.abs(gr.q_block)) * np.outer(u, u)
+        filled = ga.CovarianceMatrix(data, ga.REAL, basis=basis)
+        assert filled.structural_nulls == 1
         with pytest.raises(UnphysicalCovarianceError, match="structural nulls"):
-            ga.symplectic_spectrum(lying)
+            ga.symplectic_spectrum(filled)
+
+    def test_nulls_derived_for_whole_lattice_only(self):
+        basis = film_basis(6, 6, BoundarySpec.neumann())
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        assert ga.restrict(gr, np.arange(gr.n)).structural_nulls == 1
+        assert ga.restrict(gr, np.arange(gr.n - 1)).structural_nulls == 0
+        assert ga.thermal_momentum_covariance(basis, 0.3).structural_nulls == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        data = 0.5 * np.eye(4)
+        data[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ga.CovarianceMatrix(data, ga.MOMENTUM)
 
 
 class TestSymplecticSpectrum:

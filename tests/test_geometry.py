@@ -125,30 +125,3 @@ class TestBuildBasis:
         for a, b in zip(b1.modes[:-1], b1.modes[1:]):
             if a.k == b.k:
                 assert a.index < b.index
-
-
-class TestTransforms:
-    def setup_method(self):
-        grid = Grid(5e-3, 5e-3, 6, 6)
-        self.basis = build_basis(grid, BoundarySpec.neumann(), linear_dispersion)
-
-    def test_zero_maps_to_zero(self):
-        out = self.basis.to_real(np.zeros(self.basis.n_modes))
-        assert np.all(out == 0.0)
-
-    def test_unit_coefficient_gives_sampled_row(self):
-        e = np.zeros(self.basis.n_modes)
-        e[7] = 1.0
-        assert np.allclose(self.basis.to_real(e), self.basis.sampled[7])
-
-    def test_round_trip_on_retained_span(self):
-        rng = np.random.default_rng(11)
-        coeff = rng.normal(size=self.basis.n_modes)
-        v = self.basis.to_real(coeff)
-        assert np.max(np.abs(self.basis.to_real(self.basis.to_modes(v)) - v)) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            self.basis.to_real(np.zeros(3))
-        with pytest.raises(ValueError):
-            self.basis.to_modes(np.zeros(7))

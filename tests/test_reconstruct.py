@@ -127,6 +127,19 @@ class TestSynthesis:
         assert not np.array_equal(s1.samples, s3.samples)
         assert np.allclose(s1.samples, np.transpose(s1.samples, (0, 2, 1)))
 
+    def test_memory_preflight_raises_before_allocating(self, monkeypatch):
+        # 10^6 samples of 400 x 400 doubles need 1.28e12 bytes (1.2 TiB)
+        basis = film_basis(20, 20)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        times = np.arange(1e6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample array allocated")
+
+        monkeypatch.setattr(rc.np, "empty", refuse)
+        with pytest.raises(ValueError, match="1280000000000 bytes"):
+            rc.synth_two_point(g0, basis, DERIVED, times)
+
 
 class TestSeriesValidation:
     def test_times_must_increase(self):
@@ -138,6 +151,18 @@ class TestSeriesValidation:
         bad[0, 0, 1] = 1.0
         with pytest.raises(ValueError):
             rc.TwoPointSeries(rc.FIELD, [0.0], bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones((2, 3, 3))
+        samples[1, 2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rc.TwoPointSeries(rc.FIELD, [0.0, 1.0], samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rc.TwoPointSeries(rc.FIELD, [0.0, bad], np.ones((2, 3, 3)))
 
 
 class TestFit:

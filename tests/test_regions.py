@@ -87,10 +87,12 @@ class TestRegionStats:
             assert mask.boundary_length() == pytest.approx(brute_boundary_length(mask))
             assert mask.corner_count() == brute_corner_count(mask)
 
-    def test_rle_round_trip(self):
-        rng = np.random.default_rng(5)
-        mask = RegionMask(self.grid, rng.random((10, 10)) < 0.5)
-        assert np.array_equal(RegionMask.from_rle(self.grid, mask.rle()).pixels, mask.pixels)
+    def test_rle_hand_values(self):
+        # C order over (nx, ny) = (10, 10): pixel (ix, iy) is flat index 10 ix + iy
+        assert RegionMask.full(self.grid).rle() == "1:100"
+        assert RegionMask.from_columns(self.grid, 0, 2).rle() == "1:20,80"
+        assert RegionMask.from_rect(self.grid, 1, 2, 1, 3).rle() == "0:12,3,85"
+        assert RegionMask.from_indices(self.grid, [0, 99]).rle() == "1:1,98,1"
 
 
 class TestVolumeSweep:
