@@ -20,8 +20,8 @@ from .geometry import (BoundaryKind, BoundarySpec, Grid, Mode, ModeBasis,
                        build_basis, solve_wavenumbers_1d)
 from .gaussian import (CovarianceMatrix, SymplecticSpectrum,
                        mutual_information, restrict, symplectic_spectrum,
-                       thermal_momentum_covariance, to_momentum_space,
-                       to_real_space, von_neumann_entropy)
+                       thermal_momentum_covariance, to_real_space,
+                       von_neumann_entropy)
 from .regions import (RegionMask, RegionStats, SweepResult, area_sweep,
                       mi_map, run_area_sweep, run_volume_sweep, volume_sweep)
 from .reconstruct import (ReconstructionResult, TwoPointSeries,

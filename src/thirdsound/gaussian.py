@@ -8,17 +8,23 @@ n..2n-1 momentum quadratures, matching Omega = (0, I; -I, 0).  Entropy is
 always in nats.  The vacuum is Gamma = I/2 and every physical state has
 symplectic eigenvalues nu >= 1/2.
 
+Storage.  A state keeps its n x n blocks Q and P, and R only when it is
+nonzero; the full matrix is assembled on demand (``data``).  A thermal
+state has R = 0 in mode space and on the pixel lattice, so neither it nor
+any restriction of it ever holds a 2n x 2n matrix or a zero block.
+
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
-(momentum) and rotates with the sampled basis G.  Because G already
-carries the sqrt(cell area) lattice factor, the map is symplectic on the
-retained mode span and physicality is preserved.  When the basis spans a
-proper subspace of the pixel lattice (Neumann with the zero mode dropped),
-the real-space matrix acquires exact null directions; these are structural
-(the lattice simply has fewer physical collective degrees of freedom than
-pixels).  Their number ``structural_nulls`` is derived from the basis, pixels
-minus modes for a state on the whole lattice, and they are projected out of
-the spectrum rather than flagged as uncertainty violations.
+(momentum) and rotates with the sampled basis G, one axis at a time
+(``ModeBasis.to_pixels``).  Because G already carries the sqrt(cell area)
+lattice factor, the map is symplectic on the retained mode span and
+physicality is preserved.  When the basis spans a proper subspace of the
+pixel lattice (Neumann, whose zero mode is dropped), the real-space matrix
+acquires exact null directions; these are structural (the lattice simply
+has fewer physical collective degrees of freedom than pixels).  Their
+number ``structural_nulls`` is derived from the basis, pixels minus modes
+for a state on the whole lattice, and they are projected out of the
+spectrum rather than flagged as uncertainty violations.
 
 Symplectic spectra come from one exact Williamson route: Cholesky-factor
 Gamma = L L^T and take the singular values of L^T Omega L, which reduce to
@@ -44,24 +50,86 @@ REAL = "real"
 CLAMP_TOL = 1e-9
 HARD_TOL = 1e-6
 NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
+SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
+TILE = 64              # tile side of the symmetry pass
+
+
+def _frozen(block: np.ndarray) -> np.ndarray:
+    block.setflags(write=False)
+    return block
+
+
+def _largest(block: np.ndarray, name: str) -> float:
+    scale = float(max(block.max(), -block.min()))   # NaN or inf anywhere shows here
+    if not math.isfinite(scale):
+        raise ValueError(f"{name} has non-finite entries")
+    return scale
+
+
+def _symmetrised(block, name: str) -> np.ndarray:
+    """A private symmetric copy of a square block.  Raises if the block has
+    a non-finite entry or departs from symmetry by more than SYMMETRY_TOL
+    of its largest entry."""
+    block = np.asarray(block, dtype=float)
+    diagonal = np.diagonal(block)
+    if np.count_nonzero(block) == np.count_nonzero(diagonal):   # diagonal: symmetric as is
+        _largest(diagonal, name)
+        return _frozen(np.diag(diagonal))
+    scale = _largest(block, name)
+    # square tiles keep a tile and its transposed partner in cache together
+    sym = np.empty_like(block)
+    skew = 0.0   # largest |M - sym|, half of |M - M^T|
+    for i in range(0, block.shape[0], TILE):
+        for j in range(i, block.shape[0], TILE):
+            upper, lower = block[i:i + TILE, j:j + TILE], block[j:j + TILE, i:i + TILE]
+            tile = sym[i:i + TILE, j:j + TILE]
+            np.add(upper, lower.T, out=tile)
+            tile *= 0.5
+            skew = max(skew, float(np.max(np.abs(upper - tile))))
+            sym[j:j + TILE, i:i + TILE] = tile.T
+    if skew > 0.5 * SYMMETRY_TOL * scale:
+        raise ValueError(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
+    return _frozen(sym)
 
 
 class CovarianceMatrix:
-    """Immutable symmetric covariance matrix with quadrature-block layout."""
+    """Immutable symmetric covariance matrix, stored as its Q and P blocks
+    and its R block when that is nonzero.
+
+    ``CovarianceMatrix(data, labelling)`` splits a full 2n x 2n matrix;
+    ``CovarianceMatrix.from_blocks(q, p, r, labelling)`` takes the blocks.
+    """
 
     def __init__(self, data: np.ndarray, labelling: str, basis=None):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2:
             raise ValueError(f"covariance must be square with even dimension, got {data.shape}")
-        scale = np.max(np.abs(data))
-        if not np.isfinite(scale):
-            raise ValueError("covariance matrix has non-finite entries")
-        if scale > 0 and np.max(np.abs(data - data.T)) > 1e-12 * scale:
-            raise ValueError("covariance matrix is not symmetric to 1e-12 relative")
+        data = _symmetrised(data, "covariance matrix")
+        n = data.shape[0] // 2
+        self._store(data[:n, :n], data[n:, n:], data[:n, n:], labelling, basis)
+
+    @classmethod
+    def from_blocks(cls, q, p, r, labelling: str, basis=None) -> "CovarianceMatrix":
+        """A covariance from its n x n blocks; r=None means R = 0."""
+        gamma = cls.__new__(cls)
+        gamma._store(q, p, r, labelling, basis)
+        return gamma
+
+    def _store(self, q, p, r, labelling, basis):
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
-        self._data = 0.5 * (data + data.T)
-        self._data.setflags(write=False)
+        shape = np.shape(q)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(p) != shape or (
+                r is not None and np.shape(r) != shape):
+            raise ValueError("Q, P and R must be square blocks of one shape")
+        self._q = _symmetrised(q, "covariance block Q")
+        self._p = _symmetrised(p, "covariance block P")
+        self._r = None
+        if r is not None:
+            r = np.asarray(r, dtype=float)
+            _largest(r, "covariance block R")
+            if r.any():
+                self._r = _frozen(r.copy())
         self.labelling = labelling
         self.basis = basis
         if self.structural_nulls < 0:
@@ -70,11 +138,12 @@ class CovarianceMatrix:
 
     @property
     def data(self) -> np.ndarray:
-        return self._data
+        """The full 2n x 2n matrix, assembled on each call."""
+        return np.block([[self._q, self.r_block], [self.r_block.T, self._p]])
 
     @property
     def n(self) -> int:
-        return self._data.shape[0] // 2
+        return self._q.shape[0]
 
     @property
     def structural_nulls(self) -> int:
@@ -85,15 +154,15 @@ class CovarianceMatrix:
 
     @property
     def q_block(self) -> np.ndarray:
-        return self._data[: self.n, : self.n]
+        return self._q
 
     @property
     def r_block(self) -> np.ndarray:
-        return self._data[: self.n, self.n:]
+        return self._r if self._r is not None else np.zeros_like(self._q)
 
     @property
     def p_block(self) -> np.ndarray:
-        return self._data[self.n:, self.n:]
+        return self._p
 
     def __repr__(self):
         return (f"CovarianceMatrix(n={self.n}, labelling={self.labelling!r}, "
@@ -115,8 +184,8 @@ class SymplecticSpectrum:
 
 def thermal_momentum_covariance(basis, temperature: float) -> CovarianceMatrix:
     """Thermal state in the mode basis: Q~ = P~ = diag(n_T(omega) + 1/2), R~ = 0."""
-    diag = bose_einstein(basis.omegas, temperature) + 0.5
-    return CovarianceMatrix(np.diag(np.concatenate([diag, diag])), MOMENTUM, basis=basis)
+    diag = np.diag(bose_einstein(basis.omegas, temperature) + 0.5)
+    return CovarianceMatrix.from_blocks(diag, diag, None, MOMENTUM, basis=basis)
 
 
 def _mode_prefactors(basis, derived: DerivedParams):
@@ -125,32 +194,18 @@ def _mode_prefactors(basis, derived: DerivedParams):
 
 
 def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
-    """Transform a mode-space covariance to pixel-lattice labelling."""
+    """Transform a mode-space covariance to pixel-lattice labelling:
+    Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
+    nonzero, R = G^T D_phi R~ D_eta G, each built one axis at a time."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
         raise ValueError(f"covariance has {gamma.n} modes, basis has {basis.n_modes}")
-    g = basis.sampled
     d_phi, d_eta = _mode_prefactors(basis, derived)
-    q = g.T @ (d_phi[:, None] * gamma.q_block * d_phi[None, :]) @ g
-    p = g.T @ (d_eta[:, None] * gamma.p_block * d_eta[None, :]) @ g
-    r = g.T @ (d_phi[:, None] * gamma.r_block * d_eta[None, :]) @ g
-    return CovarianceMatrix(np.block([[q, r], [r.T, p]]), REAL, basis=basis)
-
-
-def to_momentum_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
-    """Inverse of :func:`to_real_space` on the retained mode span."""
-    if gamma.labelling != REAL:
-        raise ValueError("to_momentum_space expects a real-space covariance")
-    if gamma.n != basis.grid.n_pixels:
-        raise ValueError("covariance dimension does not match the basis grid")
-    g = basis.sampled
-    d_phi, d_eta = _mode_prefactors(basis, derived)
-    qt = (g @ gamma.q_block @ g.T) / np.outer(d_phi, d_phi)
-    pt = (g @ gamma.p_block @ g.T) / np.outer(d_eta, d_eta)
-    rt = (g @ gamma.r_block @ g.T) / np.outer(d_phi, d_eta)
-    data = np.block([[0.5 * (qt + qt.T), rt], [rt.T, 0.5 * (pt + pt.T)]])
-    return CovarianceMatrix(data, MOMENTUM, basis=basis)
+    q = basis.to_pixels(gamma.q_block, d_phi, d_phi)
+    p = basis.to_pixels(gamma.p_block, d_eta, d_eta)
+    r = None if gamma._r is None else basis.to_pixels(gamma._r, d_phi, d_eta)
+    return CovarianceMatrix.from_blocks(q, p, r, REAL, basis=basis)
 
 
 def _drop_structural_nulls(gamma: CovarianceMatrix):
@@ -160,19 +215,20 @@ def _drop_structural_nulls(gamma: CovarianceMatrix):
     carry nothing on them; rotating both quadratures by the same orthogonal
     matrix is symplectic, so cutting them out leaves the spectrum intact.
     """
-    q, p, r = gamma.q_block, gamma.p_block, gamma.r_block
+    q, p, r = gamma.q_block, gamma.p_block, gamma._r
     k = gamma.structural_nulls
     if not k:
         return q, p, r
     vecs = np.linalg.eigh(q)[1]
     null, keep = vecs[:, :k], vecs[:, k:]
-    for name, block in (("Q", q), ("P", p), ("R", r), ("R^T", r.T)):
+    blocks = [("Q", q), ("P", p)] + ([] if r is None else [("R", r), ("R^T", r.T)])
+    for name, block in blocks:
         residual = np.max(np.abs(block @ null))
         if residual > NULL_TOL * np.max(np.abs(block)):
             raise UnphysicalCovarianceError(
                 f"the basis leaves {k} structural nulls but {name} carries {residual:.3g} "
                 f"on them, above {NULL_TOL:g} of its largest entry")
-    return keep.T @ q @ keep, keep.T @ p @ keep, keep.T @ r @ keep
+    return keep.T @ q @ keep, keep.T @ p @ keep, None if r is None else keep.T @ r @ keep
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -199,7 +255,7 @@ def symplectic_spectrum(gamma: CovarianceMatrix) -> SymplecticSpectrum:
     values within 1e-9 below 1/2 are clamped.
     """
     q, p, r = _drop_structural_nulls(gamma)
-    if not r.any():
+    if r is None:
         values = np.linalg.svd(_cholesky(q).T @ _cholesky(p), compute_uv=False)[::-1]
     else:
         m = q.shape[0]
@@ -252,8 +308,10 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     array into the n degrees of freedom (either labelling).
     """
     idx = _selector_indices(gamma, selector)
-    rows = np.concatenate([idx, gamma.n + idx])
-    return CovarianceMatrix(gamma.data[np.ix_(rows, rows)], gamma.labelling, basis=gamma.basis)
+    cut = np.ix_(idx, idx)
+    r = None if gamma._r is None else gamma._r[cut]
+    return CovarianceMatrix.from_blocks(gamma.q_block[cut], gamma.p_block[cut], r,
+                                        gamma.labelling, basis=gamma.basis)
 
 
 def mutual_information(gamma: CovarianceMatrix, a, b) -> float:

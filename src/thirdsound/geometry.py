@@ -20,6 +20,12 @@ Dirichlet wavenumber m pi / L as alpha -> infinity.  The opposite sign
 convention (outward gradient proportional to +alpha times the field) admits
 a bound solution with k^2 < 0 for every alpha > 0, i.e. an imaginary-
 frequency instability for a massless field, and is therefore rejected.
+
+Every 2D mode is a product of 1D modes, so G is a row permutation of the
+Kronecker product Bx (x) By of the two per-axis matrices, for all three
+boundary kinds.  The basis keeps Bx, By and each mode's (mx, my), and maps
+a mode-space matrix M to the pixel lattice, G^T M G, one axis at a time:
+O(n^5) for an n x n grid instead of O(n^6) for the dense products.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ class BoundaryKind(str, Enum):
 class BoundarySpec:
     kind: BoundaryKind
     alpha: Optional[float] = None          # Robin parameter (1/m)
-    include_zero_mode: bool = False        # Neumann only
 
     def __post_init__(self):
         kind = BoundaryKind(self.kind)
@@ -62,16 +67,14 @@ class BoundarySpec:
                     "(tanh-branch root); the massless spectrum is unstable")
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for Robin boundaries, not {kind.value}")
-        if self.include_zero_mode and kind is not BoundaryKind.NEUMANN:
-            raise ValueError("only the Neumann basis has a zero mode")
 
     @classmethod
     def dirichlet(cls) -> "BoundarySpec":
         return cls(BoundaryKind.DIRICHLET)
 
     @classmethod
-    def neumann(cls, include_zero_mode: bool = False) -> "BoundarySpec":
-        return cls(BoundaryKind.NEUMANN, include_zero_mode=include_zero_mode)
+    def neumann(cls) -> "BoundarySpec":
+        return cls(BoundaryKind.NEUMANN)
 
     @classmethod
     def robin(cls, alpha: float) -> "BoundarySpec":
@@ -113,14 +116,8 @@ class Grid:
 @dataclass(frozen=True)
 class Mode:
     index: tuple          # (mx, my) per-axis branch indices
-    kx: float
-    ky: float
     k: float
     omega: float
-
-    @property
-    def is_zero_mode(self) -> bool:
-        return self.k == 0.0
 
 
 def _robin_eq(k, alpha, length):
@@ -227,13 +224,15 @@ def _axis_basis(boundary: BoundarySpec, length: float, n: int):
 
 @dataclass
 class ModeBasis:
-    """Solved Helmholtz spectrum on a grid: ordered modes plus the sampled
-    orthonormal mode-function matrix G of shape (n_modes, n_pixels)."""
+    """Solved Helmholtz spectrum on a grid: ordered modes, the per-axis
+    orthonormal matrices (Bx, By) and the sampled mode-function matrix G of
+    shape (n_modes, n_pixels), whose row for mode (mx, my) is Bx[mx] (x) By[my]."""
 
     grid: Grid
     boundary: BoundarySpec
     modes: list = field(repr=False)
     sampled: np.ndarray = field(repr=False)   # G, rows orthonormal
+    axes: tuple = field(repr=False)           # (Bx, By), rows orthonormal
 
     @property
     def n_modes(self) -> int:
@@ -250,10 +249,39 @@ class ModeBasis:
     def __post_init__(self):
         self._omegas = np.array([m.omega for m in self.modes])
         self._ks = np.array([m.k for m in self.modes])
+        self._index = np.array([m.index for m in self.modes], dtype=int).reshape(-1, 2).T
 
     def orthonormality_defect(self) -> float:
         g = self.sampled
         return float(np.max(np.abs(g @ g.T - np.eye(self.n_modes))))
+
+    def to_pixels(self, m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """G^T diag(left) M diag(right) G for an (n_modes, n_modes) matrix M,
+        one axis at a time.
+
+        A diagonal M (a thermal state) is a weighted sum of Kronecker
+        products, sum_m w_m (Bx[mx] Bx[mx]^T) (x) (By[my] By[my]^T), and is
+        contracted as such.  Any other M is scattered onto the (mx, my)
+        grid and contracted with By and Bx on its columns, then with Bx and
+        By on its rows.
+        """
+        bx, by = self.axes
+        nx, ny = bx.shape[0], by.shape[0]
+        n_pix = nx * ny
+        mx, my = self._index
+        diagonal = np.diagonal(m)
+        if np.count_nonzero(m) == np.count_nonzero(diagonal):
+            w = np.zeros((nx, ny))
+            w[mx, my] = left * diagonal * right
+            ty = np.einsum("xy,ya,yb->xab", w, by, by, optimize=True)          # (mx, a, b)
+            t = np.tensordot(bx[:, :, None] * bx[:, None, :], ty, axes=(0, 0))   # (i, j, a, b)
+            return t.transpose(0, 2, 1, 3).reshape(n_pix, n_pix)
+        pos = mx * ny + my
+        full = np.zeros((n_pix, n_pix))
+        full[np.ix_(pos, pos)] = left[:, None] * m * right[None, :]
+        cols = np.matmul(bx.T, (full.reshape(n_pix * nx, ny) @ by).reshape(n_pix, nx, ny))
+        rows = np.matmul(by.T, (bx.T @ cols.reshape(nx, ny * n_pix)).reshape(nx, ny, n_pix))
+        return rows.reshape(n_pix, n_pix)
 
 
 def build_basis(grid: Grid, boundary: BoundarySpec,
@@ -261,35 +289,23 @@ def build_basis(grid: Grid, boundary: BoundarySpec,
     """Tensor-product 2D mode basis with frequencies from `dispersion`.
 
     Modes are ordered by ascending wavenumber magnitude, ties broken by
-    (mx, my); the (0, 0) Neumann zero mode is dropped unless the boundary
-    spec retains it.
+    (mx, my); the (0, 0) Neumann mode has k = 0 and is dropped.
     """
     kx, bx = _axis_basis(boundary, grid.lx, grid.nx)
     ky, by = _axis_basis(boundary, grid.ly, grid.ny)
 
-    entries = []
-    for mx in range(grid.nx):
-        for my in range(grid.ny):
-            k = math.hypot(kx[mx], ky[my])
-            if k == 0.0 and not boundary.include_zero_mode:
-                continue
-            entries.append((k, mx, my))
-    entries.sort()
-
-    ks = np.array([e[0] for e in entries])
+    mx, my = np.divmod(np.arange(grid.n_pixels), grid.ny)
+    # math.hypot, not np.hypot: they can differ in the last bit, and k sets
+    # the mode order and the frequencies
+    ks = np.array(list(map(math.hypot, kx[mx].tolist(), ky[my].tolist())))
+    order = np.lexsort((my, mx, ks))
+    order = order[ks[order] > 0]
+    mx, my, ks = mx[order], my[order], ks[order]
     omegas = np.asarray(dispersion(ks), dtype=float)
-    modes = []
-    g = np.empty((len(entries), grid.n_pixels))
-    for row, ((k, mx, my), omega) in enumerate(zip(entries, omegas)):
-        if omega <= 0 and k > 0:
-            raise NumericalError(f"dispersion returned omega={omega} for k={k}")
-        modes.append(Mode(index=(mx, my), kx=float(kx[mx]), ky=float(ky[my]),
-                          k=float(k), omega=float(omega)))
-        g[row] = np.outer(bx[mx], by[my]).ravel()
-
-    expected = grid.n_pixels
-    if boundary.kind is BoundaryKind.NEUMANN and not boundary.include_zero_mode:
-        expected -= 1
-    if len(modes) != expected:
-        raise NumericalError(f"mode count {len(modes)} != expected {expected}")
-    return ModeBasis(grid=grid, boundary=boundary, modes=modes, sampled=g)
+    if np.any(omegas <= 0):
+        row = int(np.argmax(omegas <= 0))
+        raise NumericalError(f"dispersion returned omega={omegas[row]} for k={ks[row]}")
+    modes = [Mode(index=index, k=k, omega=omega)
+             for index, k, omega in zip(zip(mx.tolist(), my.tolist()), ks.tolist(), omegas.tolist())]
+    g = (bx[mx][:, :, None] * by[my][:, None, :]).reshape(ks.size, grid.n_pixels)
+    return ModeBasis(grid=grid, boundary=boundary, modes=modes, sampled=g, axes=(bx, by))

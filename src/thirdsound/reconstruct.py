@@ -113,8 +113,7 @@ class ReconstructionResult:
     unidentifiable_pairs: list = field(default_factory=list)
 
     def gamma(self, basis=None) -> CovarianceMatrix:
-        data = np.block([[self.qt, self.rt], [self.rt.T, self.pt]])
-        return CovarianceMatrix(data, MOMENTUM, basis=basis)
+        return CovarianceMatrix.from_blocks(self.qt, self.pt, self.rt, MOMENTUM, basis=basis)
 
 
 def evolve_mode_covariance(gamma0: CovarianceMatrix, t: float) -> CovarianceMatrix:

@@ -26,6 +26,18 @@ def diagonal_covariance(nus, labelling=ga.MOMENTUM):
     return ga.CovarianceMatrix(np.diag(np.concatenate([nus, nus])), labelling)
 
 
+def squeezed(gamma, seed):
+    """A copy of a mode-space state after a random symplectic map, so that
+    R~ is nonzero and no block is diagonal."""
+    n = gamma.n
+    rng = np.random.default_rng(seed)
+    h = rng.normal(scale=0.3, size=(2 * n, 2 * n))
+    h = 0.5 * (h + h.T)
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    s = scipy.linalg.expm(omega @ h)          # symplectic for symmetric h
+    return ga.CovarianceMatrix(s @ gamma.data @ s.T, ga.MOMENTUM, basis=gamma.basis)
+
+
 def thermal_fock_entropy(nbar, cutoff=200):
     k = np.arange(cutoff + 1)
     p = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar)
@@ -77,14 +89,27 @@ class TestRealSpaceTransform:
         assert np.allclose(gr.data, gr.data.T)
         assert ga.symplectic_spectrum(gr).min >= 0.5 - 1e-9
 
-    def test_round_trip(self):
-        for spec in (BoundarySpec.dirichlet(), BoundarySpec.neumann()):
-            basis = film_basis(6, 6, spec)
-            gm = ga.thermal_momentum_covariance(basis, 0.3)
-            gr = ga.to_real_space(gm, basis, DERIVED)
-            back = ga.to_momentum_space(gr, basis, DERIVED)
-            err = np.linalg.norm(back.data - gm.data) / np.linalg.norm(gm.data)
-            assert err < 1e-9
+    @pytest.mark.parametrize("state", ["thermal", "squeezed"])
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_per_axis_matches_dense_reference(self, spec, state):
+        # non-square grid on a non-square cell, so the two axes differ
+        basis = film_basis(5, 4, spec, ly=3.7e-3)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        if state == "squeezed":
+            gm = squeezed(gm, seed=11)
+            assert np.max(np.abs(gm.r_block)) > 0.01 * np.max(np.abs(gm.q_block))
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        g = basis.sampled
+        d_phi = np.sqrt(DERIVED.c3 / (DERIVED.luttinger_k * basis.omegas))
+        d_eta = 1.0 / d_phi
+        pairs = ((gr.q_block, gm.q_block, d_phi, d_phi), (gr.p_block, gm.p_block, d_eta, d_eta),
+                 (gr.r_block, gm.r_block, d_phi, d_eta))
+        for got, mode_block, left, right in pairs:
+            want = g.T @ np.diag(left) @ mode_block @ np.diag(right) @ g
+            scale = max(np.max(np.abs(want)), 1e-300)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert (state == "thermal") == (not gr.r_block.any())
 
     def test_neumann_structural_nulls_tracked(self):
         basis = film_basis(6, 6, BoundarySpec.neumann())
@@ -101,7 +126,7 @@ class TestRealSpaceTransform:
         # leave 9 - 18 = -9 structural nulls
         basis = film_basis(3, 3)
         doubled = ModeBasis(basis.grid, basis.boundary, basis.modes + basis.modes,
-                            np.vstack([basis.sampled, basis.sampled]))
+                            np.vstack([basis.sampled, basis.sampled]), basis.axes)
         gm = ga.thermal_momentum_covariance(doubled, 0.3)
         with pytest.raises(ValueError, match="more than"):
             ga.to_real_space(gm, doubled, DERIVED)
@@ -135,6 +160,47 @@ class TestRealSpaceTransform:
         data[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ga.CovarianceMatrix(data, ga.MOMENTUM)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("block", ["Q", "P", "R"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, bad, block, entry):
+        blocks = {"Q": np.diag([1.0, 2.0]), "P": np.diag([1.0, 2.0]), "R": np.zeros((2, 2))}
+        blocks[block][entry] = bad
+        with pytest.raises(ValueError, match=f"block {block} has non-finite"):
+            ga.CovarianceMatrix.from_blocks(blocks["Q"], blocks["P"], blocks["R"], ga.MOMENTUM)
+
+    @pytest.mark.parametrize("block", ["Q", "P"])
+    def test_asymmetric_block_rejected(self, block):
+        basis = film_basis(4, 3)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        q, p = gr.q_block.copy(), gr.p_block.copy()
+        skewed = q if block == "Q" else p
+        # an asymmetry of 0.5e-12 of the largest entry is within the 1e-12 bound
+        skewed[0, 1] += 0.5e-12 * np.max(np.abs(skewed))
+        ga.CovarianceMatrix.from_blocks(q, p, None, ga.REAL, basis=basis)
+        skewed[0, 1] += 1e-11 * np.max(np.abs(skewed))
+        with pytest.raises(ValueError, match=f"block {block} is not symmetric"):
+            ga.CovarianceMatrix.from_blocks(q, p, None, ga.REAL, basis=basis)
+
+    def test_dense_off_diagonal_blocks_must_be_transposes(self):
+        data = np.eye(4)
+        data[0, 2] = 0.3
+        with pytest.raises(ValueError, match="not symmetric"):
+            ga.CovarianceMatrix(data, ga.MOMENTUM)
+        data[2, 0] = 0.3
+        assert ga.CovarianceMatrix(data, ga.MOMENTUM).r_block[0, 0] == 0.3
+
+    def test_thermal_state_stores_no_r_block(self):
+        basis = film_basis(4, 3, BoundarySpec.neumann())
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        for gamma in (gm, gr, ga.restrict(gr, np.arange(5))):
+            assert gamma._r is None
+            assert not gamma.r_block.any()
+            n = gamma.n
+            assert np.array_equal(gamma.data[:n, :n], gamma.q_block)
+            assert np.array_equal(gamma.data[n:, n:], gamma.p_block)
 
 
 class TestSymplecticSpectrum:

@@ -102,10 +102,6 @@ class TestBuildBasis:
         dirichlet = build_basis(grid, BoundarySpec.dirichlet(), linear_dispersion)
         assert dirichlet.n_modes == 400
         assert np.all(dirichlet.omegas > 0)
-        with_zero = build_basis(grid, BoundarySpec.neumann(include_zero_mode=True),
-                                linear_dispersion)
-        assert with_zero.n_modes == 400
-        assert with_zero.modes[0].is_zero_mode
 
     @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann()]
                              + [BoundarySpec.robin(a / L) for a in (1e-6, 0.1, 1.0, 10.0, 1e6)])
