@@ -5,8 +5,8 @@ Every output file embeds the config hash, package version and the
 finite-size sine-argument convention, and all commands are deterministic
 under a fixed seed.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure (including
-MemoryError), 4 unphysical covariance.
+Exit codes: 0 ok, 2 config error (including outputs that cannot be
+written), 3 numerical failure (including MemoryError), 4 unphysical covariance.
 """
 
 from __future__ import annotations
@@ -449,9 +449,9 @@ _COMMANDS = {
 
 
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ConfigError, ValueError)):
-        # contract violations triggered by config values (grid too small
-        # for the buffer, no fitting rectangle, ...) count as config errors
+    if isinstance(exc, (ConfigError, ValueError, OSError)):
+        # config values the run cannot honour (grid too small for the buffer,
+        # no fitting rectangle, an output directory it cannot write) exit 2
         return EXIT_CONFIG
     if isinstance(exc, UnphysicalCovarianceError):
         return EXIT_UNPHYSICAL

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes (see cli.exit_code_for):
-config problems exit 2, numerical failures exit 3, and covariance
-matrices violating the uncertainty bound exit 4.
+config problems and outputs that cannot be written (OSError) exit 2,
+numerical failures exit 3, and covariance matrices violating the
+uncertainty bound exit 4.
 """
 
 

@@ -26,6 +26,12 @@ number ``structural_nulls`` is derived from the basis, pixels minus modes
 for a state on the whole lattice, and they are projected out of the
 spectrum rather than flagged as uncertainty violations.
 
+Checks.  A covariance is checked once, where it enters: the public
+constructors reject non-finite entries and asymmetry above SYMMETRY_TOL of
+the largest entry, and symmetrise what they keep.  A partial trace keeps the
+principal submatrices it gathers, and the thermal mode state its diagonal
+blocks built from checked occupations, without checking them again.
+
 Symplectic spectra come from one exact Williamson route: Cholesky-factor
 Gamma = L L^T and take the singular values of L^T Omega L, which reduce to
 svd(chol(Q)^T chol(P)) when R = 0, as for every thermal real-space state
@@ -54,11 +60,6 @@ SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
 TILE = 64              # tile side of the symmetry pass
 
 
-def _frozen(block: np.ndarray) -> np.ndarray:
-    block.setflags(write=False)
-    return block
-
-
 def _largest(block: np.ndarray, name: str) -> float:
     scale = float(max(block.max(), -block.min()))   # NaN or inf anywhere shows here
     if not math.isfinite(scale):
@@ -71,10 +72,6 @@ def _symmetrised(block, name: str) -> np.ndarray:
     a non-finite entry or departs from symmetry by more than SYMMETRY_TOL
     of its largest entry."""
     block = np.asarray(block, dtype=float)
-    diagonal = np.diagonal(block)
-    if np.count_nonzero(block) == np.count_nonzero(diagonal):   # diagonal: symmetric as is
-        _largest(diagonal, name)
-        return _frozen(np.diag(diagonal))
     scale = _largest(block, name)
     # square tiles keep a tile and its transposed partner in cache together
     sym = np.empty_like(block)
@@ -89,15 +86,15 @@ def _symmetrised(block, name: str) -> np.ndarray:
             sym[j:j + TILE, i:i + TILE] = tile.T
     if skew > 0.5 * SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
-    return _frozen(sym)
+    return sym
 
 
 class CovarianceMatrix:
     """Immutable symmetric covariance matrix, stored as its Q and P blocks
     and its R block when that is nonzero.
 
-    ``CovarianceMatrix(data, labelling)`` splits a full 2n x 2n matrix;
-    ``CovarianceMatrix.from_blocks(q, p, r, labelling)`` takes the blocks.
+    ``CovarianceMatrix(data, labelling)`` checks and splits a full 2n x 2n
+    matrix; ``CovarianceMatrix.from_blocks(q, p, r, labelling)`` checks blocks.
     """
 
     def __init__(self, data: np.ndarray, labelling: str, basis=None):
@@ -106,35 +103,37 @@ class CovarianceMatrix:
             raise ValueError(f"covariance must be square with even dimension, got {data.shape}")
         data = _symmetrised(data, "covariance matrix")
         n = data.shape[0] // 2
-        self._store(data[:n, :n], data[n:, n:], data[:n, n:], labelling, basis)
+        self._store(data[:n, :n].copy(), data[n:, n:].copy(), data[:n, n:].copy(),
+                    labelling, basis)
 
     @classmethod
     def from_blocks(cls, q, p, r, labelling: str, basis=None) -> "CovarianceMatrix":
         """A covariance from its n x n blocks; r=None means R = 0."""
-        gamma = cls.__new__(cls)
-        gamma._store(q, p, r, labelling, basis)
-        return gamma
-
-    def _store(self, q, p, r, labelling, basis):
-        if labelling not in (MOMENTUM, REAL):
-            raise ValueError(f"unknown labelling {labelling!r}")
         shape = np.shape(q)
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(p) != shape or (
                 r is not None and np.shape(r) != shape):
             raise ValueError("Q, P and R must be square blocks of one shape")
-        self._q = _symmetrised(q, "covariance block Q")
-        self._p = _symmetrised(p, "covariance block P")
-        self._r = None
+        q, p = _symmetrised(q, "covariance block Q"), _symmetrised(p, "covariance block P")
         if r is not None:
-            r = np.asarray(r, dtype=float)
+            r = np.array(r, dtype=float)
             _largest(r, "covariance block R")
-            if r.any():
-                self._r = _frozen(r.copy())
+        return cls.__new__(cls)._store(q, p, r, labelling, basis)
+
+    def _store(self, q, p, r, labelling, basis) -> "CovarianceMatrix":
+        """Keep checked blocks as they are, read-only; R only when nonzero."""
+        if labelling not in (MOMENTUM, REAL):
+            raise ValueError(f"unknown labelling {labelling!r}")
+        self._q, self._p = q, p
+        self._r = r if r is not None and r.any() else None
+        for block in (q, p, self._r):
+            if block is not None:
+                block.setflags(write=False)
         self.labelling = labelling
         self.basis = basis
         if self.structural_nulls < 0:
             raise ValueError(f"basis has {basis.n_modes} modes, more than the "
                              f"{basis.grid.n_pixels} pixels it is sampled on")
+        return self
 
     @property
     def data(self) -> np.ndarray:
@@ -185,7 +184,7 @@ class SymplecticSpectrum:
 def thermal_momentum_covariance(basis, temperature: float) -> CovarianceMatrix:
     """Thermal state in the mode basis: Q~ = P~ = diag(n_T(omega) + 1/2), R~ = 0."""
     diag = np.diag(bose_einstein(basis.omegas, temperature) + 0.5)
-    return CovarianceMatrix.from_blocks(diag, diag, None, MOMENTUM, basis=basis)
+    return CovarianceMatrix.__new__(CovarianceMatrix)._store(diag, diag, None, MOMENTUM, basis)
 
 
 def _mode_prefactors(basis, derived: DerivedParams):
@@ -310,8 +309,8 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     idx = _selector_indices(gamma, selector)
     cut = np.ix_(idx, idx)
     r = None if gamma._r is None else gamma._r[cut]
-    return CovarianceMatrix.from_blocks(gamma.q_block[cut], gamma.p_block[cut], r,
-                                        gamma.labelling, basis=gamma.basis)
+    return CovarianceMatrix.__new__(CovarianceMatrix)._store(
+        gamma._q[cut], gamma._p[cut], r, gamma.labelling, gamma.basis)
 
 
 def mutual_information(gamma: CovarianceMatrix, a, b) -> float:

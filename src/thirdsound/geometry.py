@@ -224,14 +224,13 @@ def _axis_basis(boundary: BoundarySpec, length: float, n: int):
 
 @dataclass
 class ModeBasis:
-    """Solved Helmholtz spectrum on a grid: ordered modes, the per-axis
-    orthonormal matrices (Bx, By) and the sampled mode-function matrix G of
-    shape (n_modes, n_pixels), whose row for mode (mx, my) is Bx[mx] (x) By[my]."""
+    """Solved Helmholtz spectrum on a grid: ordered modes and the per-axis
+    orthonormal matrices (Bx, By).  The sampled mode-function matrix G, of
+    shape (n_modes, n_pixels), is built from them on each access."""
 
     grid: Grid
     boundary: BoundarySpec
     modes: list = field(repr=False)
-    sampled: np.ndarray = field(repr=False)   # G, rows orthonormal
     axes: tuple = field(repr=False)           # (Bx, By), rows orthonormal
 
     @property
@@ -250,6 +249,12 @@ class ModeBasis:
         self._omegas = np.array([m.omega for m in self.modes])
         self._ks = np.array([m.k for m in self.modes])
         self._index = np.array([m.index for m in self.modes], dtype=int).reshape(-1, 2).T
+
+    @property
+    def sampled(self) -> np.ndarray:
+        """G, rows orthonormal; the row for mode (mx, my) is Bx[mx] (x) By[my]."""
+        (bx, by), (mx, my) = self.axes, self._index
+        return (bx[mx][:, :, None] * by[my][:, None, :]).reshape(self.n_modes, self.grid.n_pixels)
 
     def orthonormality_defect(self) -> float:
         g = self.sampled
@@ -302,10 +307,10 @@ def build_basis(grid: Grid, boundary: BoundarySpec,
     order = order[ks[order] > 0]
     mx, my, ks = mx[order], my[order], ks[order]
     omegas = np.asarray(dispersion(ks), dtype=float)
-    if np.any(omegas <= 0):
-        row = int(np.argmax(omegas <= 0))
+    bad = ~((omegas > 0) & np.isfinite(omegas))
+    if bad.any():
+        row = int(np.argmax(bad))
         raise NumericalError(f"dispersion returned omega={omegas[row]} for k={ks[row]}")
     modes = [Mode(index=index, k=k, omega=omega)
              for index, k, omega in zip(zip(mx.tolist(), my.tolist()), ks.tolist(), omegas.tolist())]
-    g = (bx[mx][:, :, None] * by[my][:, None, :]).reshape(ks.size, grid.n_pixels)
-    return ModeBasis(grid=grid, boundary=boundary, modes=modes, sampled=g, axes=(bx, by))
+    return ModeBasis(grid=grid, boundary=boundary, modes=modes, axes=(bx, by))

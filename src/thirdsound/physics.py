@@ -21,7 +21,7 @@ in CLI display output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,14 +49,11 @@ class FilmParams:
     m4: float = 6.6465e-27        # helium-4 atomic mass (kg)
 
     def __post_init__(self):
-        if not (self.h0 > 0):
-            raise ValueError("film depth h0 must be positive")
-        if not (self.alpha_vdw > 0):
-            raise ValueError("van der Waals coefficient must be positive")
-        if not (self.rho > 0 and self.m4 > 0):
-            raise ValueError("rho and m4 must be positive")
-        if self.sigma < 0 or self.temperature < 0:
-            raise ValueError("sigma and temperature must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            need = "non-negative" if f.name in ("sigma", "temperature") else "positive"
+            if not math.isfinite(value) or value < 0 or (value == 0 and need == "positive"):
+                raise ValueError(f"film.{f.name} must be finite and {need}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,15 +116,12 @@ def bose_einstein(omega, temperature: float):
     """
     omega_arr = np.asarray(omega, dtype=float)
     scalar = omega_arr.ndim == 0
-    if np.any(omega_arr <= 0):
+    if not np.all(omega_arr > 0):
         raise ValueError("bose_einstein requires omega > 0 (zero mode is excluded)")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
-    if temperature == 0:
-        out = np.zeros_like(omega_arr)
-        return float(out) if scalar else out
-    x = HBAR * omega_arr / (K_B * temperature)
-    out = 1.0 / np.expm1(x)
+    if not (0 <= temperature < math.inf):
+        raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
+    out = (np.zeros_like(omega_arr) if temperature == 0
+           else 1.0 / np.expm1(HBAR * omega_arr / (K_B * temperature)))
     return float(out) if scalar else out
 
 

@@ -69,6 +69,7 @@ class TestConfigParsing:
         assert cli.exit_code_for(NumericalError("x")) == 3
         assert cli.exit_code_for(UnstableRobinError("x")) == 3
         assert cli.exit_code_for(UnphysicalCovarianceError("x")) == 4
+        assert cli.exit_code_for(NotADirectoryError("x")) == 2
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
@@ -211,3 +212,33 @@ class TestCommands:
                                "boundary.kind = robin\nboundary.alpha = -100")
         assert cli.main(["params", "--config", write_config(tmp_path, cfg)]) == 3
         assert "bound mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-volume", "fit-area"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file, not a directory\n")
+        cfg = BASELINE.replace("sweep.fixed_volume = 4", "sweep.fixed_volume = 8")
+        code = cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(blocker / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "file" in err[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["h0", "alpha_vdw", "temperature", "sigma", "rho", "m4"])
+    def test_non_finite_film_value_exit_2(self, tmp_path, capsys, key, value):
+        lines = [l for l in BASELINE.splitlines() if not l.startswith(f"film.{key} ")]
+        cfg = "\n".join(lines + [f"film.{key} = {value}"]) + "\n"
+        assert cli.main(["params", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: film.{key} must be finite")
+
+    def test_nan_temperature_sweep_exit_2(self, tmp_path, capsys):
+        cfg = BASELINE.replace("film.temperature = 0.3", "film.temperature = nan")
+        out = tmp_path / "out"
+        assert cli.main(["sweep-area", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        assert "film.temperature must be finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -125,8 +125,8 @@ class TestRealSpaceTransform:
         # a basis listing the 9 modes of a 3x3 Dirichlet lattice twice would
         # leave 9 - 18 = -9 structural nulls
         basis = film_basis(3, 3)
-        doubled = ModeBasis(basis.grid, basis.boundary, basis.modes + basis.modes,
-                            np.vstack([basis.sampled, basis.sampled]), basis.axes)
+        doubled = ModeBasis(basis.grid, basis.boundary, basis.modes + basis.modes, basis.axes)
+        assert np.array_equal(doubled.sampled, np.vstack([basis.sampled, basis.sampled]))
         gm = ga.thermal_momentum_covariance(doubled, 0.3)
         with pytest.raises(ValueError, match="more than"):
             ga.to_real_space(gm, doubled, DERIVED)
@@ -201,6 +201,76 @@ class TestRealSpaceTransform:
             n = gamma.n
             assert np.array_equal(gamma.data[:n, :n], gamma.q_block)
             assert np.array_equal(gamma.data[n:, n:], gamma.p_block)
+
+
+class TestChecksRunWhereStatesEnter:
+    """The public constructors check a covariance; states built from a
+    checked one (partial traces, the thermal mode state) are stored as built."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        names = []
+        symmetrised = ga._symmetrised
+
+        def counted(block, name):
+            names.append(name)
+            return symmetrised(block, name)
+
+        monkeypatch.setattr(ga, "_symmetrised", counted)
+        return names
+
+    @staticmethod
+    def real_state(state):
+        basis = film_basis(4, 3, BoundarySpec.neumann())
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        return ga.to_real_space(gm if state == "thermal" else squeezed(gm, seed=5), basis, DERIVED)
+
+    def test_thermal_mode_state_not_rechecked(self, checked):
+        gm = ga.thermal_momentum_covariance(film_basis(4, 3), 0.3)
+        assert checked == []
+        assert not gm.q_block.flags.writeable and not gm.p_block.flags.writeable
+        assert np.array_equal(gm.q_block, np.diag(np.diagonal(gm.q_block)))
+
+    @pytest.mark.parametrize("state", ["thermal", "squeezed"])
+    def test_from_blocks_checks_q_and_p_once(self, checked, state):
+        blocks = ["covariance block Q", "covariance block P"]
+        gr = self.real_state(state)   # to_real_space stores through from_blocks
+        assert checked == ([] if state == "thermal" else ["covariance matrix"]) + blocks
+        del checked[:]
+        r = None if state == "thermal" else gr.r_block
+        ga.CovarianceMatrix.from_blocks(gr.q_block, gr.p_block, r, ga.REAL, basis=gr.basis)
+        assert checked == blocks
+
+    def test_full_matrix_checked_once(self, checked):
+        gr = self.real_state("squeezed")
+        del checked[:]
+        ga.CovarianceMatrix(gr.data, ga.REAL, basis=gr.basis)
+        assert checked == ["covariance matrix"]
+
+    @pytest.mark.parametrize("state", ["thermal", "squeezed"])
+    def test_restrict_not_rechecked(self, checked, state):
+        gr = self.real_state(state)
+        del checked[:]
+        ga.restrict(gr, np.array([5, 0, 9]))
+        ga.mutual_information(gr, np.array([0, 1]), np.array([4, 7]))
+        assert checked == []
+
+    @pytest.mark.parametrize("state", ["thermal", "squeezed"])
+    def test_restrict_stores_read_only_gathers(self, state):
+        gr = self.real_state(state)
+        idx = np.array([5, 0, 9, 2])
+        sub = ga.restrict(gr, idx)
+        cut = np.ix_(np.sort(idx), np.sort(idx))
+        blocks = [(sub.q_block, gr.q_block), (sub.p_block, gr.p_block)]
+        if state == "thermal":
+            assert gr._r is None and sub._r is None
+        else:
+            blocks.append((sub._r, gr._r))
+        for got, parent in blocks:
+            assert got.tobytes() == parent[cut].tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 1.0
 
 
 class TestSymplecticSpectrum:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from thirdsound.errors import UnstableRobinError
+from thirdsound.errors import NumericalError, UnstableRobinError
 from thirdsound.geometry import (BoundarySpec, Grid, build_basis,
                                  cosine_basis_1d, robin_basis_1d,
                                  sine_basis_1d, solve_wavenumbers_1d)
@@ -110,6 +110,27 @@ class TestBuildBasis:
         grid = Grid(5e-3, 4e-3, *shape)
         basis = build_basis(grid, spec, linear_dispersion)
         assert basis.orthonormality_defect() < 1e-10
+
+    def test_sampled_built_on_each_access(self):
+        grid = Grid(5e-3, 4e-3, 5, 3)
+        basis = build_basis(grid, BoundarySpec.robin(200.0), linear_dispersion)
+        assert "sampled" not in vars(basis)
+        g = basis.sampled
+        assert g is not basis.sampled
+        bx, by = basis.axes
+        for row, mode in zip(g, basis.modes):
+            mx, my = mode.index
+            assert np.array_equal(row, np.kron(bx[mx], by[my]))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_omega_rejected(self, bad):
+        def dispersion(k):
+            omegas = linear_dispersion(k)
+            omegas[3] = bad
+            return omegas
+
+        with pytest.raises(NumericalError, match="dispersion returned omega"):
+            build_basis(Grid(5e-3, 5e-3, 4, 4), BoundarySpec.dirichlet(), dispersion)
 
     def test_ordering_deterministic(self):
         grid = Grid(5e-3, 5e-3, 6, 6)

@@ -51,6 +51,13 @@ class TestDeriveParams:
             FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=-0.1)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["h0", "alpha_vdw", "temperature", "sigma", "rho", "m4"])
+    def test_non_finite_film_value_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"film.{name} must be finite"):
+            film(**{name: bad})
+
+
 class TestDispersion:
     def test_zero_wavenumber(self):
         d = derive_params(film())
@@ -113,6 +120,15 @@ class TestBoseEinstein:
             bose_einstein(0.0, 0.3)
         with pytest.raises(ValueError):
             bose_einstein(-1.0, 0.3)
+        with pytest.raises(ValueError):
+            bose_einstein(np.array([77.6, math.nan]), 0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, bad):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            bose_einstein(77.6, bad)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            bose_einstein(np.array([77.6, 80.0]), bad)
 
     def test_detailed_balance_identity(self):
         # n + 1 = exp(hbar w / kB T) * n

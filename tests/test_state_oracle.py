@@ -5,9 +5,13 @@ forms and imports nothing from ``thirdsound``; ``benchmark/worker.py``
 builds the state through the library calls the benchmark times.  Both are
 executed here from their source, under private module names and without
 writing anything, so a change that breaks the benchmark's library path
-fails here rather than at benchmark time.
+fails here rather than at benchmark time.  ``benchmark/tracer.py`` is
+loaded the same way, to check that every function its per-layer metrics
+name is still a public function of its layer.
 """
 
+import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -30,6 +34,7 @@ def _load(name):
 
 oracle = _load("oracle")
 worker = _load("worker")
+tracer = _load("tracer")
 
 
 def config(kind):
@@ -59,3 +64,18 @@ def test_worker_build_state_through_mutual_information(built):
     mi = ts.mutual_information(gamma, a, b)
     assert mi > 0.1
     assert mi == pytest.approx(state.mutual_information(a, b), abs=oracle.MI_TOL)
+
+
+@pytest.mark.parametrize("name", tracer.NAMED)
+def test_tracer_names_a_public_function(name):
+    # the tracer wraps public module-level functions only; a named one that
+    # is renamed, made private or moved would read 0 in its metrics
+    layer, _, attr = name.partition(".")
+    module = importlib.import_module(f"thirdsound.{layer}")
+    function = getattr(module, attr, None)
+    assert not attr.startswith("_")
+    assert inspect.isfunction(function) and function.__module__ == module.__name__
+
+
+def test_tracer_groups_use_named_functions():
+    assert tracer.KERNEL | tracer.STATE_BUILD <= set(tracer.NAMED)
