@@ -3,7 +3,8 @@
 Configs are flat ``section.key = value`` text (see configs/baseline.cfg).
 Every output file embeds the config hash, package version and the
 finite-size sine-argument convention, and all commands are deterministic
-under a fixed seed.
+under a fixed seed.  The MI tables also name the protocol's entropy route
+and its certified error bound (``gaussian.EntropyRoute``) in one line.
 
 Exit codes: 0 ok, 2 config error (including outputs that cannot be
 written), 3 numerical failure (including MemoryError), 4 unphysical covariance.
@@ -68,22 +69,15 @@ _REQUIRED = ("film.h0", "film.alpha_vdw", "film.temperature",
              "grid.lx", "grid.ly", "grid.nx", "grid.ny", "boundary.kind")
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def _coerce(raw: str, target_type, key: str, lineno: int):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    except ValueError:
+        return _BOOLS[raw.lower()] if target_type is bool else target_type(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r} as {target_type.__name__}")
 
 
@@ -91,7 +85,6 @@ def parse_config(text: str) -> RunConfig:
     """Parse flat key=value config text with line diagnostics."""
     known = {f.name: f for f in fields(RunConfig)}
     values = {}
-    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -103,13 +96,10 @@ def parse_config(text: str) -> RunConfig:
         attr = key.replace(".", "_")
         if attr not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if attr in seen:
+        if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(attr)
-        f = known[attr]
-        target = f.type if isinstance(f.type, type) else {
-            "float": float, "int": int, "bool": bool, "str": str,
-            "float | None": float}.get(str(f.type), str)
+        # annotations are strings here; "float" and "float | None" parse as float
+        target = {"int": int, "bool": bool, "str": str}.get(known[attr].type, float)
         values[attr] = _coerce(raw, target, key, lineno)
     missing = [k for k in _REQUIRED if k.replace(".", "_") not in values]
     if missing:
@@ -182,13 +172,16 @@ def build_pipeline(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _header_lines(cfg: RunConfig, command: str, extra: dict | None = None) -> list:
+def _header_lines(cfg: RunConfig, command: str, extra: dict | None = None,
+                  route=None) -> list:
     lines = [f"# thirdsound v{__version__}",
              f"# command={command}",
              f"# config_hash={config_hash(cfg)}",
              f"# sine_argument_convention={SINE_ARGUMENT_CONVENTION}"]
     for key, value in (extra or {}).items():
         lines.append(f"# {key}={value}")
+    if route is not None:
+        lines.append(f"# entropy_route={route.name} error_bound_nats={route.error_bound:.3g}")
     return lines
 
 
@@ -330,7 +323,7 @@ def _area_sweep(cfg: RunConfig):
 def _write_volume_csv(cfg: RunConfig, out_dir: Path, command: str, sweep,
                       footer: list | None = None) -> Path:
     """sweep_volume.csv: one row per point, its masks in the header."""
-    header = _header_lines(cfg, command, {"protocol": sweep.protocol})
+    header = _header_lines(cfg, command, {"protocol": sweep.protocol}, sweep.route)
     for i, p in enumerate(sweep.points):
         header.append(f"# point {i} mask_a={p.pair.a.rle()} mask_b={p.pair.b.rle()}")
     rows = [(p.pair.label["divider_index"], p.abscissa, p.mi) for p in sweep.points]
@@ -350,7 +343,7 @@ def cmd_sweep_volume(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     sweep = _area_sweep(cfg)
-    header = _header_lines(cfg, "sweep-area", {"protocol": sweep.protocol})
+    header = _header_lines(cfg, "sweep-area", {"protocol": sweep.protocol}, sweep.route)
     for i, p in enumerate(sweep.raw_points):
         header.append(f"# raw point {i} shape={p.pair.label['width']}x"
                       f"{p.pair.label['height']} mask_a={p.pair.a.rle()} "
@@ -365,8 +358,9 @@ def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def cmd_mi_map(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    field = regions.mi_map(build_pipeline(cfg)[4])
-    header = _header_lines(cfg, "mi-map", {"note": "outer pixel ring excluded"})
+    gamma = build_pipeline(cfg)[4]
+    field, route = regions.mi_map(gamma), regions.map_route(gamma)
+    header = _header_lines(cfg, "mi-map", {"note": "outer pixel ring excluded"}, route)
     rows = [(ix, iy, field[ix, iy])
             for ix in range(field.shape[0]) for iy in range(field.shape[1])
             if np.isfinite(field[ix, iy])]

@@ -32,17 +32,27 @@ the largest entry, and symmetrise what they keep.  A partial trace keeps the
 principal submatrices it gathers, and the thermal mode state its diagonal
 blocks built from checked occupations, without checking them again.
 
-Symplectic spectra come from one exact Williamson route: Cholesky-factor
-Gamma = L L^T and take the singular values of L^T Omega L, which reduce to
-svd(chol(Q)^T chol(P)) when R = 0, as for every thermal real-space state
-and every restriction of one.  The route is invariant under symplectic
-rescalings, so the huge momentum-quadrature scale needs no balancing.
+Entropy takes one of two routes.  The exact one is Williamson's: with
+Gamma = L L^T, nu are the singular values of L^T Omega L (of chol(Q)^T
+chol(P) when R = 0), which symplectic rescalings leave alone, so the huge
+momentum scale needs no balancing.  The classical one, S = 1/2 ln det Q +
+1/2 ln det P + n, errs by 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 per
+mode (nu >= 1) and is taken when a certificate bounds that sum by
+CLASSICAL_TOL.  A diagonal mode state with R = 0 gives Q = G^T diag(a) G
+and P = G^T diag(b) G, so Q_S >= min a G_S^T G_S and P_S >= min b G_S^T G_S
+on any pixel set S, and by monotonicity of symplectic eigenvalues (Bhatia &
+Jain, J. Math. Phys. 56, 112201 (2015)) the j-th nu of Gamma_S is at least
+nu_floor = sqrt(min a min b) times the j-th eigenvalue of G_S^T G_S: 1, but
+1 - |S|/N once on Neumann, whose G lacks the flat mode.  ``to_real_space``
+stores nu_floor and ``restrict`` passes it on; every other state takes the
+exact route, which stays the oracle through ``symplectic_spectrum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +65,8 @@ REAL = "real"
 # below 1/2 - CLAMP_TOL is round-off and clamped; below 1/2 - HARD_TOL is a bug
 CLAMP_TOL = 1e-9
 HARD_TOL = 1e-6
+CLASSICAL_TOL = 1e-10  # largest certified entropy error the log-det route may carry, nats
+MODE_ERROR = 1 / 12    # 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 for nu >= 1
 NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
 TILE = 64              # tile side of the symmetry pass
@@ -119,7 +131,7 @@ class CovarianceMatrix:
             _largest(r, "covariance block R")
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
-    def _store(self, q, p, r, labelling, basis) -> "CovarianceMatrix":
+    def _store(self, q, p, r, labelling, basis, nu_floor=None) -> "CovarianceMatrix":
         """Keep checked blocks as they are, read-only; R only when nonzero."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
@@ -130,6 +142,7 @@ class CovarianceMatrix:
                 block.setflags(write=False)
         self.labelling = labelling
         self.basis = basis
+        self.nu_floor = nu_floor   # certified, see the module docstring; None without one
         if self.structural_nulls < 0:
             raise ValueError(f"basis has {basis.n_modes} modes, more than the "
                              f"{basis.grid.n_pixels} pixels it is sampled on")
@@ -195,7 +208,9 @@ def _mode_prefactors(basis, derived: DerivedParams):
 def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
     """Transform a mode-space covariance to pixel-lattice labelling:
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
-    nonzero, R = G^T D_phi R~ D_eta G, each built one axis at a time."""
+    nonzero, R = G^T D_phi R~ D_eta G, each built one axis at a time.  A
+    diagonal mode state with R~ = 0 on a basis that lacks no mode but the flat
+    Neumann one also gives the result its nu_floor."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
@@ -204,7 +219,13 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     q = basis.to_pixels(gamma.q_block, d_phi, d_phi)
     p = basis.to_pixels(gamma.p_block, d_eta, d_eta)
     r = None if gamma._r is None else basis.to_pixels(gamma._r, d_phi, d_eta)
-    return CovarianceMatrix.from_blocks(q, p, r, REAL, basis=basis)
+    out = CovarianceMatrix.from_blocks(q, p, r, REAL, basis=basis)
+    a, b = d_phi ** 2 * np.diagonal(gamma.q_block), d_eta ** 2 * np.diagonal(gamma.p_block)
+    flat_only = basis.grid.n_pixels - basis.n_modes == (basis.boundary.kind == "neumann")
+    diagonal = np.count_nonzero(gamma.q_block) + np.count_nonzero(gamma.p_block) == 2 * gamma.n
+    if r is None and flat_only and min(a.min(), b.min()) > 0 and diagonal:
+        out.nu_floor = math.sqrt(a.min() * b.min())
+    return out
 
 
 def _drop_structural_nulls(gamma: CovarianceMatrix):
@@ -279,8 +300,23 @@ def _entropy_terms(nus: np.ndarray) -> np.ndarray:
     return out
 
 
+def entropy_error_bound(gamma: CovarianceMatrix, size: int | None = None) -> float:
+    """Certified bound, in nats, on how far the log-det entropy of any `size`
+    of gamma's dof (default all) lies above the exact one, or inf."""
+    if gamma.nu_floor is None:
+        return math.inf
+    size, n_pixels = gamma.n if size is None else size, gamma.basis.grid.n_pixels
+    flat = gamma.basis.n_modes < n_pixels   # the flat Neumann mode is missing
+    low = gamma.nu_floor * (1.0 - size / n_pixels if flat else 1.0)   # the lowest nu's floor
+    return math.inf if low < 1.0 else MODE_ERROR * ((size - 1) / gamma.nu_floor ** 2 + 1 / low ** 2)
+
+
 def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
-    """Entropy in nats from the symplectic spectrum."""
+    """Entropy in nats: 1/2 ln det Q + 1/2 ln det P + n when the certificate
+    bounds that by CLASSICAL_TOL, else from the symplectic spectrum."""
+    if entropy_error_bound(gamma) <= CLASSICAL_TOL:
+        half = sum(np.log(np.diagonal(_cholesky(m))).sum() for m in (gamma._q, gamma._p))
+        return float(half) + gamma.n
     return float(math.fsum(_entropy_terms(symplectic_spectrum(gamma).values)))
 
 
@@ -293,11 +329,12 @@ def _selector_indices(gamma: CovarianceMatrix, selector) -> np.ndarray:
         idx = np.asarray(selector, dtype=int)
     if idx.size == 0:
         raise ValueError("cannot restrict to an empty selection")
-    if idx.size != np.unique(idx).size:
+    idx = np.sort(idx)
+    if np.any(idx[1:] == idx[:-1]):
         raise ValueError("selection contains repeated indices")
-    if np.any(idx < 0) or np.any(idx >= gamma.n):
+    if idx[0] < 0 or idx[-1] >= gamma.n:
         raise ValueError("selection out of range")
-    return np.sort(idx)
+    return idx
 
 
 def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
@@ -310,19 +347,102 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     cut = np.ix_(idx, idx)
     r = None if gamma._r is None else gamma._r[cut]
     return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-        gamma._q[cut], gamma._p[cut], r, gamma.labelling, gamma.basis)
+        gamma._q[cut], gamma._p[cut], r, gamma.labelling, gamma.basis, gamma.nu_floor)
+
+
+class EntropyRoute(NamedTuple):
+    """'classical' (log-dets), 'exact' (symplectic spectra) or 'mixed', and
+    the classical route's error bound on the largest set, in nats."""
+
+    name: str
+    error_bound: float
+
+
+def entropy_route(gamma: CovarianceMatrix, smallest: int, largest: int) -> EntropyRoute:
+    """The route of subsets of gamma from `smallest` to `largest` in size."""
+    bound = entropy_error_bound(gamma, largest)
+    return EntropyRoute("classical" if bound <= CLASSICAL_TOL else "mixed" if
+                        entropy_error_bound(gamma, smallest) <= CLASSICAL_TOL else "exact", bound)
+
+
+class _LogDets:
+    """Classical entropies of subsets of a certified box of gamma's dof, less
+    sum_i (1 + 1/2 ln Q_ii P_ii): that cancels in any mutual information and
+    leaves log-dets of correlation matrices, small enough to keep their digits.
+    A Cholesky factor of each block and of the reversed block gives every
+    leading and trailing set; a set larger than its complement C uses
+    det M_{-C} = det M det((M^-1)_CC) unless the box has structural nulls (the
+    factors then leave out one end); any other set is factored on its own."""
+
+    def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
+        sub = gamma if box.size == gamma.n else restrict(gamma, box)
+        self.box, self.blocks = box, (sub._q, sub._p)
+        self.diags = [np.diagonal(block) for block in self.blocks]
+        m = sub.n - (sub.structural_nulls > 0)
+        self.leading = _running_logs(self.blocks, m)
+        self.trailing = _running_logs([block[::-1, ::-1] for block in self.blocks], m)
+        self.inverses = [] if m == sub.n else None   # M^-1, built on first use
+
+    def reduced(self, idx: np.ndarray) -> float:
+        pos = np.searchsorted(self.box, idx)
+        k, n = pos.size, self.box.size
+        if pos[-1] == k - 1 or pos[0] == n - k:
+            return float((self.leading if pos[-1] == k - 1 else self.trailing)[k - 1])
+        base, mats, power = 0.0, self.blocks, 1.0   # the set, factored on its own
+        if self.inverses is not None and 2 * k > n:   # its complement C, scaled by M_ii
+            if not self.inverses:
+                self.inverses = [np.linalg.inv(block) for block in self.blocks]
+            base, mats, power = float(self.leading[-1]), self.inverses, -1.0
+            pos = np.setdiff1d(np.arange(n), pos, assume_unique=True)
+        return base + float(sum(_reduced_logs(_cholesky(m[np.ix_(pos, pos)]), d[pos] ** power).sum()
+                                for m, d in zip(mats, self.diags)))
+
+
+def _reduced_logs(factor: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """ln(L_ii / sqrt(d_i)) over the positions of the Cholesky factor L."""
+    return np.log(np.diagonal(factor) / np.sqrt(diag[:factor.shape[0]]))
+
+
+def _running_logs(blocks, m: int) -> np.ndarray:
+    """Reduced log-dets of the leading 1..m positions, summed over blocks."""
+    return np.cumsum(sum(_reduced_logs(_cholesky(b[:m, :m]), np.diagonal(b)) for b in blocks))
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    union = np.sort(np.concatenate([a, b]))
+    if np.any(union[1:] == union[:-1]):
+        raise ValueError("regions A and B overlap")
+    return union
+
+
+def mutual_information_batch(gamma: CovarianceMatrix, pairs):
+    """I(A:B) in nats, clamped at zero, for each disjoint (A, B) pair of masks
+    or index arrays that `pairs` yields, and the EntropyRoute taken.  When the
+    certificate covers the largest A u B, every entropy is read from one
+    ``_LogDets`` of all pairs' pixels; otherwise from ``von_neumann_entropy``,
+    once per distinct set."""
+    sets, used = [], np.zeros(gamma.n, dtype=bool)
+    for a, b in pairs:
+        sets.append((_selector_indices(gamma, a), _selector_indices(gamma, b)))
+        used[_union(*sets[-1])] = True
+    route = entropy_route(gamma, min(min(a.size, b.size) for a, b in sets),
+                          max(a.size + b.size for a, b in sets))
+    if route.name == "classical":
+        entropy = _LogDets(gamma, np.flatnonzero(used)).reduced
+    else:
+        known = {}
+
+        def entropy(idx):
+            key = idx.tobytes()
+            if key not in known:
+                known[key] = von_neumann_entropy(restrict(gamma, idx))
+            return known[key]
+
+    values = [entropy(a) + entropy(b) - entropy(_union(a, b)) for a, b in sets]
+    return np.maximum(values, 0.0), route
 
 
 def mutual_information(gamma: CovarianceMatrix, a, b) -> float:
-    """I(A:B) = S(A) + S(B) - S(A u B) in nats, clamped at zero.
-
-    A and B are masks or index arrays and must be disjoint.
-    """
-    ia = _selector_indices(gamma, a)
-    ib = _selector_indices(gamma, b)
-    if np.intersect1d(ia, ib).size:
-        raise ValueError("regions A and B overlap")
-    s_a = von_neumann_entropy(restrict(gamma, ia))
-    s_b = von_neumann_entropy(restrict(gamma, ib))
-    s_ab = von_neumann_entropy(restrict(gamma, np.concatenate([ia, ib])))
-    return max(s_a + s_b - s_ab, 0.0)
+    """I(A:B) = S(A) + S(B) - S(A u B) in nats, clamped at zero, for disjoint
+    masks or index arrays A and B."""
+    return float(mutual_information_batch(gamma, [(a, b)])[0][0])

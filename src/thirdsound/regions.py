@@ -7,6 +7,13 @@ pixel and an unmasked-or-exterior pixel, and corners are counted at lattice
 vertices (a diagonal pixel contact contributes two corners).  Subsystem
 pairs are always separated by a buffer of at least one pixel ring so that
 A and B never touch.
+
+Each protocol hands all its pairs to ``gaussian.mutual_information_batch``,
+which factors each block of a certified state once (and once reversed), on
+the pixels the pairs use.  Pixels are in C order, so a volume-sweep A is a
+leading and B a trailing block, and a set that is the box minus a few pixels
+(A u B, an area-sweep B, the rest of the map's interior) is read from the
+box's inverse, except on a whole Neumann lattice, which is singular.
 """
 
 from __future__ import annotations
@@ -115,15 +122,9 @@ class RegionMask:
         """Run-length encoding of the C-order flattened mask: the leading
         bit, then run lengths, e.g. '0:5,15,380'."""
         flat = self.pixels.ravel()
-        runs, current, count = [], bool(flat[0]), 0
-        for v in flat:
-            if bool(v) == current:
-                count += 1
-            else:
-                runs.append(count)
-                current, count = bool(v), 1
-        runs.append(count)
-        return f"{int(flat[0])}:" + ",".join(str(r) for r in runs)
+        edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        runs = np.diff(np.concatenate([[0], edges, [flat.size]]))
+        return f"{int(flat[0])}:" + ",".join(map(str, runs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,7 @@ class SweepResult:
     protocol: str
     points: list
     raw_points: list
+    route: gaussian.EntropyRoute
 
     @property
     def abscissae(self) -> np.ndarray:
@@ -225,25 +227,21 @@ def evaluate_sweep(gamma, pairs: list, abscissa: str, protocol: str) -> SweepRes
         xs = [p.a.boundary_length() for p in pairs]
     else:
         raise ValueError(f"unknown abscissa {abscissa!r}")
-    mis = [gaussian.mutual_information(gamma, p.a, p.b) for p in pairs]
+    mis, route = gaussian.mutual_information_batch(gamma, [(p.a, p.b) for p in pairs])
     raw = [SweepPoint(abscissa=x, mi=mi, stats=p.a.stats(), pair=p)
            for x, mi, p in zip(xs, mis, pairs)]
 
-    grouped: dict = {}
-    for point in raw:
-        grouped.setdefault(point.abscissa, []).append(point)
     points = []
-    for x in sorted(grouped):
-        bucket = grouped[x]
-        mean_mi = float(np.mean([p.mi for p in bucket]))
-        points.append(SweepPoint(abscissa=x, mi=mean_mi, stats=bucket[0].stats,
-                                 pair=bucket[0].pair))
-    return SweepResult(protocol=protocol, points=points, raw_points=raw)
+    for x in sorted({p.abscissa for p in raw}):
+        bucket = [p for p in raw if p.abscissa == x]
+        points.append(SweepPoint(abscissa=x, mi=float(np.mean([p.mi for p in bucket])),
+                                 stats=bucket[0].stats, pair=bucket[0].pair))
+    return SweepResult(protocol=protocol, points=points, raw_points=raw, route=route)
 
 
 def run_volume_sweep(gamma, buffer: int = 1, include_cell_boundary: bool = True) -> SweepResult:
-    grid = gamma.basis.grid
-    pairs = volume_sweep(grid, buffer=buffer, include_cell_boundary=include_cell_boundary)
+    pairs = volume_sweep(gamma.basis.grid, buffer=buffer,
+                         include_cell_boundary=include_cell_boundary)
     tag = "full" if include_cell_boundary else "interior"
     return evaluate_sweep(gamma, pairs, abscissa="volume",
                           protocol=f"volume_sweep/{tag}/buffer={buffer}")
@@ -251,12 +249,17 @@ def run_volume_sweep(gamma, buffer: int = 1, include_cell_boundary: bool = True)
 
 def run_area_sweep(gamma, fixed_volume: int, include_cell_boundary: bool = True,
                    buffer: int = 1) -> SweepResult:
-    grid = gamma.basis.grid
-    pairs = area_sweep(grid, fixed_volume, include_cell_boundary=include_cell_boundary,
-                       buffer=buffer)
+    pairs = area_sweep(gamma.basis.grid, fixed_volume,
+                       include_cell_boundary=include_cell_boundary, buffer=buffer)
     tag = "full" if include_cell_boundary else "interior"
     return evaluate_sweep(gamma, pairs, abscissa="perimeter",
                           protocol=f"area_sweep/{tag}/volume={fixed_volume}")
+
+
+def _interior(grid: Grid) -> np.ndarray:
+    if grid.nx < 3 or grid.ny < 3:
+        raise ValueError("mi_map needs a grid of at least 3x3 pixels")
+    return RegionMask.from_columns(grid, 1, grid.nx - 1, 1, grid.ny - 1).indices()
 
 
 def mi_map(gamma) -> np.ndarray:
@@ -266,20 +269,13 @@ def mi_map(gamma) -> np.ndarray:
     and reported as NaN.
     """
     grid = gamma.basis.grid
-    if grid.nx < 3 or grid.ny < 3:
-        raise ValueError("mi_map needs a grid of at least 3x3 pixels")
-    interior = RegionMask.from_columns(grid, 1, grid.nx - 1, 1, grid.ny - 1)
-    interior_idx = interior.indices()
-    # the union A u B is the interior for every pixel, so its entropy is
-    # computed once and shared
-    s_union = gaussian.von_neumann_entropy(gaussian.restrict(gamma, interior_idx))
-
-    def local_mi(pixel: int) -> float:
-        rest = interior_idx[interior_idx != pixel]
-        s_a = gaussian.von_neumann_entropy(gaussian.restrict(gamma, np.array([pixel])))
-        s_b = gaussian.von_neumann_entropy(gaussian.restrict(gamma, rest))
-        return max(s_a + s_b - s_union, 0.0)
-
+    interior = _interior(grid)
+    pairs = ((interior[i:i + 1], np.delete(interior, i)) for i in range(interior.size))
     out = np.full((grid.nx, grid.ny), np.nan)
-    out.ravel()[interior_idx] = [local_mi(p) for p in interior_idx]
+    out.ravel()[interior] = gaussian.mutual_information_batch(gamma, pairs)[0]
     return out
+
+
+def map_route(gamma) -> gaussian.EntropyRoute:
+    """The entropy route of ``mi_map``, whose sets run from one pixel to the interior."""
+    return gaussian.entropy_route(gamma, 1, _interior(gamma.basis.grid).size)

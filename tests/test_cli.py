@@ -139,6 +139,25 @@ class TestCommands:
         assert len(rows) == 1 + 36   # 6x6 interior of the 8x8 grid
         assert (out / "mi_map.svg").exists()
 
+    @pytest.mark.parametrize("temperature, route", [("0.3", "classical"), ("0", "exact")])
+    def test_mi_tables_name_their_entropy_route(self, tmp_path, temperature, route):
+        cfg_text = BASELINE.replace("film.temperature = 0.3", f"film.temperature = {temperature}")
+        cfg = write_config(tmp_path, cfg_text)
+        out = tmp_path / "out"
+        tables = {"sweep-volume": "sweep_volume.csv", "sweep-area": "sweep_area.csv",
+                  "mi-map": "mi_map.csv"}
+        for command, name in tables.items():
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+            lines = (out / name).read_text().splitlines()
+            routes = [l for l in lines if l.startswith("# entropy_route=")]
+            assert len(routes) == 1
+            fields = dict(item.split("=") for item in routes[0][2:].split())
+            assert fields["entropy_route"] == route
+            bound = float(fields["error_bound_nats"])
+            assert (bound <= 1e-10) == (route == "classical")
+            assert f"# config_hash={cli.config_hash(cli.parse_config(cfg_text))}" in lines
+            assert not any(l.startswith("# fit ") for l in lines)
+
     def test_reconstruct_csv(self, tmp_path):
         out = tmp_path / "out"
         small = BASELINE.replace("grid.nx = 8", "grid.nx = 3").replace("grid.ny = 8",

@@ -493,3 +493,118 @@ class TestClassicalRegime:
         mi_cold = run_volume_sweep(cold).mi_values
         assert mi_hot.min() > 0.1
         assert np.max(np.abs(mi_hot - mi_cold)) <= 1e-6
+
+
+def exact_entropy(gamma):
+    return math.fsum(ga._entropy_terms(ga.symplectic_spectrum(gamma).values))
+
+
+class TestCertifiedClassicalRoute:
+    """The certified floor bounds every exact symplectic eigenvalue of a
+    restricted thermal state from below, and the per-mode constant bounds
+    the log-det route's error."""
+
+    SPECS = [BoundarySpec.dirichlet(), BoundarySpec.neumann(), BoundarySpec.robin(200.0)]
+
+    @staticmethod
+    def thermal(spec, temperature, nx=8, ny=8):
+        basis = film_basis(nx, ny, spec)
+        return ga.to_real_space(ga.thermal_momentum_covariance(basis, temperature),
+                                basis, DERIVED)
+
+    @staticmethod
+    def floors(sub):
+        """The certified floors, ascending: nu_floor, except that on a
+        Neumann basis the lowest is nu_floor (1 - |S|/N)."""
+        out = np.full(sub.n, sub.nu_floor)
+        n_pixels = sub.basis.grid.n_pixels
+        if sub.basis.n_modes < n_pixels:
+            out[0] *= 1.0 - sub.n / n_pixels
+        return out
+
+    @pytest.mark.parametrize("temperature", [0.3, 1e-4])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_floor_is_a_lower_bound(self, spec, temperature):
+        gr = self.thermal(spec, temperature)
+        n = gr.n
+        rng = np.random.default_rng(17)
+        interior = RegionMask.from_columns(gr.basis.grid, 1, 7, 1, 7).indices()
+        sets = [interior] + [np.delete(np.arange(n), p) for p in (0, 27, 36, n - 1)]
+        sets += [rng.choice(n, size=m, replace=False) for m in (1, 2, 9, 25, 40, 56, 62)]
+        for idx in sets:
+            sub = ga.restrict(gr, idx)
+            floors = self.floors(sub)
+            exact = ga.symplectic_spectrum(sub).values
+            # Q and P carry round-off of ~1e-16 of their largest entry
+            assert np.all(exact >= floors * (1.0 - 1e-9)), (spec.kind, idx.size)
+            bound = ga.MODE_ERROR * np.sum(floors ** -2.0) if floors[0] >= 1 else math.inf
+            assert ga.entropy_error_bound(sub) == pytest.approx(bound, rel=1e-12)
+            assert ga.entropy_error_bound(gr, idx.size) == ga.entropy_error_bound(sub)
+
+    def test_neumann_lattice_minus_one_pixel(self):
+        # the uniform vector is nearly inside this set, so one nu falls ~160x
+        # below the mode spectrum; interlacing from the whole lattice gives 0
+        gr = self.thermal(BoundarySpec.neumann(), 0.3, 16, 16)
+        sub = ga.restrict(gr, np.delete(np.arange(gr.n), 8 * 16 + 8))
+        exact = ga.symplectic_spectrum(sub).values
+        floors = self.floors(sub)
+        assert exact[0] < 1e-2 * gr.nu_floor
+        assert floors[0] == pytest.approx(gr.nu_floor / 256, rel=1e-12)
+        assert exact[0] >= floors[0] and np.all(exact[1:] >= floors[1:] * (1.0 - 1e-9))
+        assert ga.entropy_error_bound(sub) <= ga.CLASSICAL_TOL
+        assert self.floors(gr)[0] == 0.0 and ga.entropy_error_bound(gr) == math.inf
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_truncated_basis_not_certified(self, spec):
+        # the bound assumes G lacks at most the flat Neumann mode
+        basis = film_basis(6, 6, spec)
+        cut = ModeBasis(basis.grid, basis.boundary, basis.modes[:-1], basis.axes)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(cut, 0.3), cut, DERIVED)
+        assert gr.nu_floor is None
+        assert ga.entropy_error_bound(ga.restrict(gr, np.arange(10))) == math.inf
+
+    def test_mode_error_constant(self):
+        nus = np.geomspace(1.0, 1e4, 20001)
+        gap = np.log(nus) + 1.0 - ga._entropy_terms(nus)
+        assert np.all(gap > 0.0)
+        assert np.max(gap * nus ** 2) <= 1.09 / 24 <= ga.MODE_ERROR
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_classical_entropy_within_bound(self, spec):
+        gr = self.thermal(spec, 0.3)
+        for idx in (np.arange(5), np.arange(10, 50), np.arange(gr.n - 1)):
+            sub = ga.restrict(gr, idx)
+            bound = ga.entropy_error_bound(sub)
+            assert bound <= ga.CLASSICAL_TOL
+            assert abs(ga.von_neumann_entropy(sub) - exact_entropy(sub)) <= 1e-10
+
+    @staticmethod
+    def count_spectra(monkeypatch):
+        calls = []
+        spectrum = ga.symplectic_spectrum
+        monkeypatch.setattr(ga, "symplectic_spectrum", lambda g: calls.append(g.n) or spectrum(g))
+        return calls
+
+    def test_certified_state_takes_log_dets(self, monkeypatch):
+        gr = self.thermal(BoundarySpec.dirichlet(), 0.3)
+        calls = self.count_spectra(monkeypatch)
+        ga.von_neumann_entropy(ga.restrict(gr, np.arange(20)))
+        ga.mutual_information(gr, np.arange(8), np.arange(16, 40))
+        assert calls == []
+
+    @pytest.mark.parametrize("state", ["zero-temperature", "public-constructor", "squeezed",
+                                       "momentum", "neumann-lattice"])
+    def test_uncertified_state_takes_exact_route(self, monkeypatch, state):
+        spec = BoundarySpec.neumann() if state == "neumann-lattice" else BoundarySpec.dirichlet()
+        gr = self.thermal(spec, 0.0 if state == "zero-temperature" else 0.3)
+        if state == "public-constructor":
+            gr = ga.CovarianceMatrix(gr.data, ga.REAL, basis=gr.basis)
+        elif state in ("squeezed", "momentum"):
+            gm = ga.thermal_momentum_covariance(gr.basis, 0.3)
+            gr = gm if state == "momentum" else ga.to_real_space(squeezed(gm, seed=2),
+                                                                 gr.basis, DERIVED)
+        assert (gr.nu_floor is None) == (state not in ("zero-temperature", "neumann-lattice"))
+        calls = self.count_spectra(monkeypatch)
+        s = ga.von_neumann_entropy(gr)
+        assert calls == [gr.n]
+        assert s == exact_entropy(gr)

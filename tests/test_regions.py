@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thirdsound import FilmParams, derive_params
 from thirdsound import gaussian as ga
@@ -93,6 +96,24 @@ class TestRegionStats:
         assert RegionMask.from_columns(self.grid, 0, 2).rle() == "1:20,80"
         assert RegionMask.from_rect(self.grid, 1, 2, 1, 3).rle() == "0:12,3,85"
         assert RegionMask.from_indices(self.grid, [0, 99]).rle() == "1:1,98,1"
+
+    def test_rle_matches_pixel_walk(self):
+        def walked(mask):
+            flat = mask.pixels.ravel()
+            runs, current, count = [], bool(flat[0]), 0
+            for v in flat:
+                if bool(v) == current:
+                    count += 1
+                else:
+                    runs.append(count)
+                    current, count = bool(v), 1
+            return f"{int(flat[0])}:" + ",".join(str(r) for r in runs + [count])
+
+        rng = np.random.default_rng(8)
+        for nx, ny in [(1, 1), (1, 5), (7, 3), (8, 6)]:
+            for _ in range(50):
+                mask = RegionMask(Grid(1.0, 1.0, nx, ny), rng.random((nx, ny)) < rng.random())
+                assert mask.rle() == walked(mask)
 
 
 class TestVolumeSweep:
@@ -213,3 +234,124 @@ class TestMiMap:
         gamma = thermal_state(grid, BoundarySpec.dirichlet())
         with pytest.raises(ValueError):
             rg.mi_map(gamma)
+
+
+def exact_mi(gamma, a, b):
+    """Test-local oracle: per-pair MI from exact symplectic spectra."""
+    def entropy(idx):
+        spectrum = ga.symplectic_spectrum(ga.restrict(gamma, idx))
+        return math.fsum(ga._entropy_terms(spectrum.values))
+
+    a = a.indices() if hasattr(a, "indices") else np.asarray(a)
+    b = b.indices() if hasattr(b, "indices") else np.asarray(b)
+    return max(entropy(a) + entropy(b) - entropy(np.union1d(a, b)), 0.0)
+
+
+def squeezed_real_state(grid, seed=4):
+    """A thermal state after a random mode-space symplectic map: R != 0."""
+    basis = build_basis(grid, BoundarySpec.dirichlet(),
+                        lambda k: dispersion_thin_film(k, DERIVED, FILM.h0))
+    gm = ga.thermal_momentum_covariance(basis, 0.3)
+    n = gm.n
+    h = np.random.default_rng(seed).normal(scale=0.3, size=(2 * n, 2 * n))
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    s = scipy.linalg.expm(omega @ (h + h.T) / 2)
+    gm = ga.CovarianceMatrix(s @ gm.data @ s.T, ga.MOMENTUM, basis=basis)
+    return ga.to_real_space(gm, basis, DERIVED)
+
+
+SPECS = [BoundarySpec.dirichlet(), BoundarySpec.neumann(), BoundarySpec.robin(200.0)]
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """Sizes of the states symplectic_spectrum is called on."""
+    calls = []
+    spectrum = ga.symplectic_spectrum
+    monkeypatch.setattr(ga, "symplectic_spectrum", lambda g: calls.append(g.n) or spectrum(g))
+    return calls
+
+
+class TestEntropyRoutes:
+    """Every protocol agrees with exact per-pair MI, and takes the classical
+    route exactly where the certificate covers its largest set."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 7)], ids=["8x8", "10x7"])
+    @pytest.mark.parametrize("buffer", [1, 2])
+    @pytest.mark.parametrize("include", [True, False], ids=["full", "interior"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_sweeps_match_exact_mi(self, spec, include, buffer, shape, spectra):
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), spec)
+        sweeps = [rg.run_volume_sweep(gamma, buffer=buffer, include_cell_boundary=include),
+                  rg.run_area_sweep(gamma, 4, include_cell_boundary=include, buffer=buffer)]
+        assert spectra == []
+        for sweep in sweeps:
+            assert sweep.route.name == "classical"
+            assert sweep.route.error_bound <= ga.CLASSICAL_TOL
+            for point in sweep.raw_points:
+                assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
+                                                 abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 7)], ids=["8x8", "10x7"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_map_matches_exact_mi(self, spec, shape, spectra):
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), spec)
+        field = rg.mi_map(gamma)
+        assert spectra == [] and rg.map_route(gamma).name == "classical"
+        interior = rg._interior(gamma.basis.grid)
+        for p in interior:
+            want = exact_mi(gamma, [p], interior[interior != p])
+            assert field.ravel()[p] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("state", ["zero-temperature", "public-constructor", "squeezed"])
+    def test_uncertified_states_take_exact_route(self, state, spectra):
+        grid = Grid(5e-3, 5e-3, 6, 6)
+        if state == "squeezed":
+            gamma = squeezed_real_state(grid)
+            assert gamma._r is not None
+        else:
+            gamma = thermal_state(grid, BoundarySpec.dirichlet(),
+                                  0.0 if state == "zero-temperature" else 0.3)
+            if state == "public-constructor":
+                gamma = ga.CovarianceMatrix(gamma.data, ga.REAL, basis=gamma.basis)
+        volume = rg.run_volume_sweep(gamma)
+        area = rg.run_area_sweep(gamma, 4)
+        field = rg.mi_map(gamma)
+        assert spectra and rg.map_route(gamma).name == "exact"
+        for sweep in (volume, area):
+            assert sweep.route.name == "exact"
+            for point in sweep.raw_points:
+                assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
+                                                 abs=1e-10)
+        interior = rg._interior(grid)
+        assert field.ravel()[interior[0]] == pytest.approx(
+            exact_mi(gamma, interior[:1], interior[1:]), abs=1e-10)
+
+    def test_mixed_route_named(self, spectra):
+        # nu_floor ~ 6e4 (nu ~ kT / hbar omega) certifies one pixel but not the
+        # 16-pixel interior, so each set of the map takes its own route
+        grid = Grid(5e-3, 5e-3, 6, 6)
+        floor = thermal_state(grid, BoundarySpec.dirichlet()).nu_floor
+        gamma = thermal_state(grid, BoundarySpec.dirichlet(), 0.3 * 6e4 / floor)
+        assert ga.entropy_error_bound(gamma, 1) <= ga.CLASSICAL_TOL < ga.entropy_error_bound(
+            gamma, 16)
+        route = rg.map_route(gamma)
+        assert route.name == "mixed" and route.error_bound == ga.entropy_error_bound(gamma, 16)
+        field = rg.mi_map(gamma)
+        assert spectra and 1 not in spectra
+        interior = rg._interior(grid)
+        for p in interior:
+            assert field.ravel()[p] == pytest.approx(
+                exact_mi(gamma, [p], interior[interior != p]), abs=1e-10)
+
+    def test_map_48x48_certified(self, spectra):
+        # one factorisation of the 2,116-pixel interior, where the exact
+        # route would solve 2,116 Williamson problems of 2,115 pixels
+        grid = Grid(5e-3, 5e-3, 48, 48)
+        gamma = thermal_state(grid, BoundarySpec.dirichlet())
+        field = rg.mi_map(gamma)
+        assert spectra == []
+        interior = field[1:-1, 1:-1]
+        assert np.all(interior > 0.1) and np.all(np.isfinite(interior))
+        assert np.allclose(interior, interior[::-1, ::-1], atol=1e-10)
+        assert np.allclose(interior, interior.T, atol=1e-10)
