@@ -108,9 +108,11 @@ def parse_config(text: str) -> RunConfig:
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc))
-    if cfg.boundary_kind not in ("dirichlet", "neumann", "robin"):
-        raise ConfigError(f"boundary.kind must be dirichlet|neumann|robin, "
-                          f"got {cfg.boundary_kind!r}")
+    for key, allowed in (("boundary.kind", ("dirichlet", "neumann", "robin")),
+                         ("reconstruct.quadrature", ("field", "momentum"))):
+        value = getattr(cfg, key.replace(".", "_"))
+        if value not in allowed:
+            raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {value!r}")
     if cfg.boundary_kind == "robin" and cfg.boundary_alpha is None:
         raise ConfigError("missing required config key(s): boundary.alpha (Robin boundary)")
     return cfg

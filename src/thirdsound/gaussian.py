@@ -11,17 +11,18 @@ symplectic eigenvalues nu >= 1/2.
 Storage.  A state keeps its n x n blocks Q and P, and R only when it is
 nonzero; the full matrix is assembled on demand (``data``).  A thermal
 state has R = 0 in mode space and on the pixel lattice, so neither it nor
-any restriction of it ever holds a 2n x 2n matrix or a zero block.
+any restriction of it ever holds a 2n x 2n matrix or a zero block.  Its
+real-space blocks are built exactly symmetric and stored as built.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
-(momentum) and rotates with the sampled basis G, one axis at a time
-(``ModeBasis.to_pixels``).  Because G already carries the sqrt(cell area)
-lattice factor, the map is symplectic on the retained mode span and
-physicality is preserved.  When the basis spans a proper subspace of the
-pixel lattice (Neumann, whose zero mode is dropped), the real-space matrix
-acquires exact null directions; these are structural (the lattice simply
-has fewer physical collective degrees of freedom than pixels).  Their
+(momentum) and rotates with the sampled basis G, one axis at a time for a
+thermal state (``ModeBasis.to_pixels``).  Because G already carries the
+sqrt(cell area) lattice factor, the map is symplectic on the retained mode
+span and physicality is preserved.  When the basis spans a proper subspace
+of the pixel lattice (Neumann, whose zero mode is dropped), the real-space
+matrix acquires exact null directions; these are structural (the lattice
+simply has fewer physical collective degrees of freedom than pixels).  Their
 number ``structural_nulls`` is derived from the basis, pixels minus modes
 for a state on the whole lattice, and they are projected out of the
 spectrum rather than flagged as uncertainty violations.
@@ -29,8 +30,11 @@ spectrum rather than flagged as uncertainty violations.
 Checks.  A covariance is checked once, where it enters: the public
 constructors reject non-finite entries and asymmetry above SYMMETRY_TOL of
 the largest entry, and symmetrise what they keep.  A partial trace keeps the
-principal submatrices it gathers, and the thermal mode state its diagonal
-blocks built from checked occupations, without checking them again.
+principal submatrices it gathers, the thermal mode state its diagonal
+blocks built from checked occupations, and ``to_real_space`` the exactly
+symmetric real-space blocks of a diagonal, R = 0 mode state, without
+checking them again.  Every other real-space state is checked by
+``from_blocks``.
 
 Entropy takes one of two routes.  The exact one is Williamson's: with
 Gamma = L L^T, nu are the singular values of L^T Omega L (of chol(Q)^T
@@ -69,7 +73,6 @@ CLASSICAL_TOL = 1e-10  # largest certified entropy error the log-det route may c
 MODE_ERROR = 1 / 12    # 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 for nu >= 1
 NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
-TILE = 64              # tile side of the symmetry pass
 
 
 def _largest(block: np.ndarray, name: str) -> float:
@@ -80,23 +83,13 @@ def _largest(block: np.ndarray, name: str) -> float:
 
 
 def _symmetrised(block, name: str) -> np.ndarray:
-    """A private symmetric copy of a square block.  Raises if the block has
-    a non-finite entry or departs from symmetry by more than SYMMETRY_TOL
-    of its largest entry."""
+    """A private symmetric copy (M + M^T) / 2 of a square block.  Raises if
+    the block has a non-finite entry or departs from symmetry by more than
+    SYMMETRY_TOL of its largest entry."""
     block = np.asarray(block, dtype=float)
     scale = _largest(block, name)
-    # square tiles keep a tile and its transposed partner in cache together
-    sym = np.empty_like(block)
-    skew = 0.0   # largest |M - sym|, half of |M - M^T|
-    for i in range(0, block.shape[0], TILE):
-        for j in range(i, block.shape[0], TILE):
-            upper, lower = block[i:i + TILE, j:j + TILE], block[j:j + TILE, i:i + TILE]
-            tile = sym[i:i + TILE, j:j + TILE]
-            np.add(upper, lower.T, out=tile)
-            tile *= 0.5
-            skew = max(skew, float(np.max(np.abs(upper - tile))))
-            sym[j:j + TILE, i:i + TILE] = tile.T
-    if skew > 0.5 * SYMMETRY_TOL * scale:
+    sym = 0.5 * (block + block.T)   # M - sym is half of M - M^T
+    if np.max(np.abs(block - sym), initial=0.0) > 0.5 * SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
     return sym
 
@@ -132,7 +125,7 @@ class CovarianceMatrix:
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
     def _store(self, q, p, r, labelling, basis, nu_floor=None) -> "CovarianceMatrix":
-        """Keep checked blocks as they are, read-only; R only when nonzero."""
+        """Keep checked (or exactly symmetric) blocks, read-only; R only when nonzero."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
         self._q, self._p = q, p
@@ -208,24 +201,26 @@ def _mode_prefactors(basis, derived: DerivedParams):
 def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
     """Transform a mode-space covariance to pixel-lattice labelling:
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
-    nonzero, R = G^T D_phi R~ D_eta G, each built one axis at a time.  A
-    diagonal mode state with R~ = 0 on a basis that lacks no mode but the flat
-    Neumann one also gives the result its nu_floor."""
+    nonzero, R = G^T D_phi R~ D_eta G.  A diagonal state with R~ = 0 is
+    built axis by axis from its mode weights and stored as built, with its
+    nu_floor on a basis that lacks no mode but the flat Neumann one; any
+    other goes through the dense G products and ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
         raise ValueError(f"covariance has {gamma.n} modes, basis has {basis.n_modes}")
     d_phi, d_eta = _mode_prefactors(basis, derived)
-    q = basis.to_pixels(gamma.q_block, d_phi, d_phi)
-    p = basis.to_pixels(gamma.p_block, d_eta, d_eta)
-    r = None if gamma._r is None else basis.to_pixels(gamma._r, d_phi, d_eta)
-    out = CovarianceMatrix.from_blocks(q, p, r, REAL, basis=basis)
-    a, b = d_phi ** 2 * np.diagonal(gamma.q_block), d_eta ** 2 * np.diagonal(gamma.p_block)
-    flat_only = basis.grid.n_pixels - basis.n_modes == (basis.boundary.kind == "neumann")
-    diagonal = np.count_nonzero(gamma.q_block) + np.count_nonzero(gamma.p_block) == 2 * gamma.n
-    if r is None and flat_only and min(a.min(), b.min()) > 0 and diagonal:
-        out.nu_floor = math.sqrt(a.min() * b.min())
-    return out
+    q, p, r = gamma.q_block, gamma.p_block, gamma._r
+    if r is None and all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in (q, p)):
+        a, b = d_phi * np.diagonal(q) * d_phi, d_eta * np.diagonal(p) * d_eta
+        flat_only = basis.grid.n_pixels - basis.n_modes == (basis.boundary.kind == "neumann")
+        floor = math.sqrt(a.min() * b.min()) if flat_only and min(a.min(), b.min()) > 0 else None
+        return CovarianceMatrix.__new__(CovarianceMatrix)._store(
+            basis.to_pixels(a), basis.to_pixels(b), None, REAL, basis, floor)
+    g = basis.sampled
+    q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
+               for m, left, right in ((q, d_phi, d_phi), (p, d_eta, d_eta), (r, d_phi, d_eta)))
+    return CovarianceMatrix.from_blocks(q, p, r, REAL, basis=basis)
 
 
 def _drop_structural_nulls(gamma: CovarianceMatrix):

@@ -24,8 +24,9 @@ frequency instability for a massless field, and is therefore rejected.
 Every 2D mode is a product of 1D modes, so G is a row permutation of the
 Kronecker product Bx (x) By of the two per-axis matrices, for all three
 boundary kinds.  The basis keeps Bx, By and each mode's (mx, my), and maps
-a mode-space matrix M to the pixel lattice, G^T M G, one axis at a time:
-O(n^5) for an n x n grid instead of O(n^6) for the dense products.
+a diagonal mode-space matrix to the pixel lattice, G^T diag(w) G, one axis
+at a time: O(n^5) for an n x n grid instead of O(n^6) for the dense
+products, and exactly symmetric.
 """
 
 from __future__ import annotations
@@ -226,7 +227,9 @@ def _axis_basis(boundary: BoundarySpec, length: float, n: int):
 class ModeBasis:
     """Solved Helmholtz spectrum on a grid: ordered modes and the per-axis
     orthonormal matrices (Bx, By).  The sampled mode-function matrix G, of
-    shape (n_modes, n_pixels), is built from them on each access."""
+    shape (n_modes, n_pixels), is built from them on each access;
+    ``to_pixels`` maps mode weights to the exactly symmetric G^T diag(w) G
+    by one O(n^5) route that never forms G."""
 
     grid: Grid
     boundary: BoundarySpec
@@ -260,33 +263,24 @@ class ModeBasis:
         g = self.sampled
         return float(np.max(np.abs(g @ g.T - np.eye(self.n_modes))))
 
-    def to_pixels(self, m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """G^T diag(left) M diag(right) G for an (n_modes, n_modes) matrix M,
-        one axis at a time.
+    def to_pixels(self, weights: np.ndarray) -> np.ndarray:
+        """G^T diag(weights) G, exactly symmetric, in O(n^5) for an n x n grid.
 
-        A diagonal M (a thermal state) is a weighted sum of Kronecker
-        products, sum_m w_m (Bx[mx] Bx[mx]^T) (x) (By[my] By[my]^T), and is
-        contracted as such.  Any other M is scattered onto the (mx, my)
-        grid and contracted with By and Bx on its columns, then with Bx and
-        By on its rows.
+        The product is a weighted sum of Kronecker products,
+        sum_m w_m (Bx[mx] Bx[mx]^T) (x) (By[my] By[my]^T), contracted one
+        axis at a time.  Each entry is averaged with its transposed partner,
+        (M + M^T) / 2, as it is laid out.
         """
         bx, by = self.axes
         nx, ny = bx.shape[0], by.shape[0]
-        n_pix = nx * ny
         mx, my = self._index
-        diagonal = np.diagonal(m)
-        if np.count_nonzero(m) == np.count_nonzero(diagonal):
-            w = np.zeros((nx, ny))
-            w[mx, my] = left * diagonal * right
-            ty = np.einsum("xy,ya,yb->xab", w, by, by, optimize=True)          # (mx, a, b)
-            t = np.tensordot(bx[:, :, None] * bx[:, None, :], ty, axes=(0, 0))   # (i, j, a, b)
-            return t.transpose(0, 2, 1, 3).reshape(n_pix, n_pix)
-        pos = mx * ny + my
-        full = np.zeros((n_pix, n_pix))
-        full[np.ix_(pos, pos)] = left[:, None] * m * right[None, :]
-        cols = np.matmul(bx.T, (full.reshape(n_pix * nx, ny) @ by).reshape(n_pix, nx, ny))
-        rows = np.matmul(by.T, (bx.T @ cols.reshape(nx, ny * n_pix)).reshape(nx, ny, n_pix))
-        return rows.reshape(n_pix, n_pix)
+        w = np.zeros((nx, ny))
+        w[mx, my] = weights
+        ty = np.einsum("xy,ya,yb->xab", w, by, by, optimize=True)          # (mx, a, b)
+        t = np.tensordot(bx[:, :, None] * bx[:, None, :], ty, axes=(0, 0))   # (i, j, a, b)
+        t += t.transpose(1, 0, 3, 2)
+        t *= 0.5
+        return t.transpose(0, 2, 1, 3).reshape(nx * ny, nx * ny)
 
 
 def build_basis(grid: Grid, boundary: BoundarySpec,

@@ -132,13 +132,16 @@ def evolve_mode_covariance(gamma0: CovarianceMatrix, t: float) -> CovarianceMatr
 def _mode_observable(gamma0: CovarianceMatrix, omegas: np.ndarray, t: float,
                      quadrature: str) -> np.ndarray:
     c, s = np.cos(omegas * t), np.sin(omegas * t)
-    qt, pt, rt = gamma0.q_block, gamma0.p_block, gamma0.r_block
+    qt, pt, rt = gamma0.q_block, gamma0.p_block, gamma0._r
     if quadrature != FIELD:
         # the momentum model is the field model with cos and sin swapped
         # and R~ negated
-        c, s, rt = s, c, -rt
-    return (c[:, None] * qt * c[None, :] + s[:, None] * pt * s[None, :]
-            + c[:, None] * rt * s[None, :] + s[:, None] * rt.T * c[None, :])
+        c, s, rt = s, c, rt if rt is None else -rt
+    y = c[:, None] * qt * c[None, :] + s[:, None] * pt * s[None, :]
+    if rt is not None:
+        y += c[:, None] * rt * s[None, :]
+        y += s[:, None] * rt.T * c[None, :]
+    return y
 
 
 def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
@@ -155,6 +158,8 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
         raise ValueError("synthesis starts from a momentum-space covariance")
     if gamma0.n != basis.n_modes:
         raise ValueError("covariance dimension does not match the basis")
+    if quadrature not in (FIELD, MOMENTUM_QUADRATURE):
+        raise ValueError(f"unknown quadrature {quadrature!r}")
     times = np.asarray(times, dtype=float)
     n_pix = basis.grid.n_pixels
     need = times.size * n_pix * n_pix * 8

@@ -220,6 +220,19 @@ class TestCommands:
         assert cli.main(["params", "--config", write_config(tmp_path)]) == 3
         assert "cannot allocate" in capsys.readouterr().err
 
+    def test_unknown_quadrature_exit_2_before_synthesis(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("samples synthesised")
+
+        monkeypatch.setattr(cli.reconstruct, "synth_two_point", refuse)
+        cfg = BASELINE + "reconstruct.quadrature = fieldd\n"
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "reconstruct.quadrature" in err and "'fieldd'" in err
+        assert not out.exists()
+
     def test_alpha_on_dirichlet_exit_2(self, tmp_path, capsys):
         cfg = BASELINE.replace("boundary.kind = dirichlet",
                                "boundary.kind = dirichlet\nboundary.alpha = 200.0")

@@ -111,6 +111,45 @@ class TestRealSpaceTransform:
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert (state == "thermal") == (not gr.r_block.any())
 
+    # the unaveraged product is asymmetric in the last bits on square grids
+    @pytest.mark.parametrize("shape", [(5, 4), (7, 7)], ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_thermal_blocks_exactly_symmetric(self, spec, shape):
+        basis = film_basis(*shape, spec, ly=3.7e-3)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        g = basis.sampled
+        d_phi = np.sqrt(DERIVED.c3 / (DERIVED.luttinger_k * basis.omegas))
+        occupations = bose_einstein(basis.omegas, 0.3) + 0.5
+        for block, weights in ((gr.q_block, d_phi ** 2), (gr.p_block, d_phi ** -2)):
+            assert np.array_equal(block, block.T)
+            assert np.all(np.isfinite(block)) and not block.flags.writeable
+            want = g.T @ np.diag(weights * occupations) @ g
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nu_floor_set_when_stored(self, monkeypatch):
+        # the floor is set by _store; nothing is assigned to the state after it
+        basis = film_basis(4, 3)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        events = []
+        setattr_, store = ga.CovarianceMatrix.__setattr__, ga.CovarianceMatrix._store
+
+        def spy_setattr(self, name, value):
+            events.append((id(self), name))
+            setattr_(self, name, value)
+
+        def spy_store(self, *args):
+            out = store(self, *args)
+            events.append((id(out), "stored"))
+            return out
+
+        monkeypatch.setattr(ga.CovarianceMatrix, "__setattr__", spy_setattr)
+        monkeypatch.setattr(ga.CovarianceMatrix, "_store", spy_store)
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        mine = [name for key, name in events if key == id(gr)]
+        assert mine[-1] == "stored" and mine.count("stored") == 1
+        assert "nu_floor" in mine and gr.nu_floor > 1.0
+
     def test_neumann_structural_nulls_tracked(self):
         basis = film_basis(6, 6, BoundarySpec.neumann())
         gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
@@ -234,12 +273,38 @@ class TestChecksRunWhereStatesEnter:
     @pytest.mark.parametrize("state", ["thermal", "squeezed"])
     def test_from_blocks_checks_q_and_p_once(self, checked, state):
         blocks = ["covariance block Q", "covariance block P"]
-        gr = self.real_state(state)   # to_real_space stores through from_blocks
-        assert checked == ([] if state == "thermal" else ["covariance matrix"]) + blocks
+        gr = self.real_state(state)   # to_real_space stores a thermal state as built
+        assert checked == ([] if state == "thermal" else ["covariance matrix"] + blocks)
         del checked[:]
         r = None if state == "thermal" else gr.r_block
         ga.CovarianceMatrix.from_blocks(gr.q_block, gr.p_block, r, ga.REAL, basis=gr.basis)
         assert checked == blocks
+
+    @pytest.mark.parametrize("state", ["thermal", "constructed", "squeezed"])
+    def test_route_follows_mode_shape(self, checked, monkeypatch, state):
+        # a diagonal R-free mode state, thermal or from the public
+        # constructor, goes axis by axis and gets a floor; any other goes
+        # through dense G products and the checks of from_blocks
+        basis = film_basis(4, 3, BoundarySpec.neumann())
+        thermal = ga.thermal_momentum_covariance(basis, 0.3)
+        gm = {"thermal": thermal, "squeezed": squeezed(thermal, seed=5),
+              "constructed": ga.CovarianceMatrix(thermal.data, ga.MOMENTUM, basis=basis)}[state]
+        weights = []
+        to_pixels = ModeBasis.to_pixels
+
+        def spy(self, w):
+            weights.append(w)
+            return to_pixels(self, w)
+
+        monkeypatch.setattr(ModeBasis, "to_pixels", spy)
+        del checked[:]
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        kronecker = state != "squeezed"
+        assert len(weights) == (2 if kronecker else 0)
+        assert checked == ([] if kronecker else ["covariance block Q", "covariance block P"])
+        assert (gr.nu_floor is not None) == kronecker
+        if state == "constructed":
+            assert gr.nu_floor == ga.to_real_space(thermal, basis, DERIVED).nu_floor
 
     def test_full_matrix_checked_once(self, checked):
         gr = self.real_state("squeezed")

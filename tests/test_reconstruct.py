@@ -140,6 +140,35 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="1280000000000 bytes"):
             rc.synth_two_point(g0, basis, DERIVED, times)
 
+    def test_r_free_state_reads_no_r_block(self, monkeypatch):
+        # a thermal state stores no R~, so synthesis adds no R~ terms
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        times = [0.0, 0.013]
+        want = {q: rc.synth_two_point(g0, basis, DERIVED, times, quadrature=q).samples
+                for q in (rc.FIELD, rc.MOMENTUM_QUADRATURE)}
+
+        def refuse(self):
+            raise AssertionError("r_block read for an R-free state")
+
+        monkeypatch.setattr(ga.CovarianceMatrix, "r_block", property(refuse))
+        for quadrature, samples in want.items():
+            got = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature)
+            assert np.array_equal(got.samples, samples)
+
+    def test_unknown_quadrature_raises_before_work(self, monkeypatch):
+        # rejected before the memory preflight and the synthesis loop
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(rc.os, "sysconf", refuse)
+        monkeypatch.setattr(rc, "_mode_observable", refuse)
+        with pytest.raises(ValueError, match="unknown quadrature 'fieldd'"):
+            rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1, 0.2], quadrature="fieldd")
+
 
 class TestSeriesValidation:
     def test_times_must_increase(self):

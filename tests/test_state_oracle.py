@@ -56,6 +56,12 @@ def test_real_space_blocks_match_closed_form(built):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_real_space_blocks_exactly_symmetric(built):
+    _, (_, _, _, gamma), _ = built
+    for block in (gamma.q_block, gamma.p_block):
+        assert np.array_equal(block, block.T)
+
+
 def test_worker_build_state_through_mutual_information(built):
     cfg, (_, basis, _, gamma), state = built
     assert gamma.n == basis.grid.n_pixels == 120
