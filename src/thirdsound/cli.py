@@ -115,6 +115,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {value!r}")
     if cfg.boundary_kind == "robin" and cfg.boundary_alpha is None:
         raise ConfigError("missing required config key(s): boundary.alpha (Robin boundary)")
+    for key, value in (("reconstruct.noise_sigma", cfg.reconstruct_noise_sigma),
+                       ("reconstruct.n_times", cfg.reconstruct_n_times)):
+        if not 0 <= value < np.inf:
+            raise ConfigError(f"{key} must be finite and non-negative, got {value}")
     return cfg
 
 

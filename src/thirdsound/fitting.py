@@ -11,24 +11,27 @@ for every mask on the lattice, so the pixel-fraction argument is used and
 recorded in output metadata (see the CLI's `sine_argument_convention`
 field).
 
+The model is linear in kappa1 and kappa3, so it is fitted by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): kappa2
+is scanned on a fixed log grid of min(base) + kappa2, base = (N/pi) sin(pi f),
+with least-squares kappa1 and kappa3 at each point, and the projected
+gradient is bisected around the best point.  `converged` means that the rms
+minimum lies inside the scan and the bisection closed on a sign change.
+
 Area-sweep outputs get an ordinary linear fit with an R^2 diagnostic and a
 super-linearity flag.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-
 SINE_ARGUMENT_CONVENTION = "pixel_fraction"
 
-_KAPPA1_STARTS = (0.1, 1.0, 10.0)
-_KAPPA2_STARTS = (0.0, 1.0, 10.0)
-_MAX_ITER = 200
+# min(base) + kappa2 in units of min(base): 20 points per decade
+_SCAN_T = np.logspace(-6.0, 12.0, 361)
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class CalabreseFit:
     kappa3: float
     rms: float
     converged: bool
-    n_points: int
 
     def predict(self, fractions, n_total: int) -> np.ndarray:
         return calabrese_model(np.asarray(fractions, dtype=float), n_total,
@@ -50,9 +52,7 @@ class AreaLawFit:
     slope: float
     intercept: float
     r_squared: float
-    rms: float
     superlinear: bool
-    n_points: int
 
 
 def calabrese_model(fractions: np.ndarray, n_total: int,
@@ -61,69 +61,50 @@ def calabrese_model(fractions: np.ndarray, n_total: int,
     return kappa1 * np.log(arg) + kappa3
 
 
-def _rms(residual: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(residual ** 2)))
+def _finite(name: str, values) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
+    return array
 
 
 def fit_calabrese_curve(fractions, mi_values, n_total: int) -> CalabreseFit:
-    """Damped Gauss-Newton fit from a deterministic multi-start grid."""
-    f = np.asarray(fractions, dtype=float)
-    y = np.asarray(mi_values, dtype=float)
+    """Variable-projection fit; an unconverged fit is the best scan point."""
+    f = _finite("fractions", fractions)
+    y = _finite("mi_values", mi_values)
     if f.size < 5:
         raise ValueError("the finite-size fit needs at least 5 sweep points")
-    if np.any((f <= 0) | (f >= 1)):
-        raise ValueError("subsystem fractions must lie strictly inside (0, 1)")
     base = (n_total / np.pi) * np.sin(np.pi * f)
+    if np.any((f <= 0) | (f >= 1)) or np.unique(base).size < 3:
+        raise ValueError("subsystem fractions must lie strictly inside (0, 1) "
+                         "and give at least 3 distinct sin(pi f)")
+    excess = base - base.min()
+    yc = y - y.mean()
 
-    def residual(params):
-        k1, k2, k3 = params
-        arg = base + k2
-        if np.any(arg <= 0):
-            return None
-        return k1 * np.log(arg) + k3 - y
+    def project(t):
+        """kappa1, the residual r at the optimal kappa1 and kappa3, and the
+        gradient kappa1 sum r / (base + kappa2), at t = min(base) + kappa2.
+        log1p(excess / t) and weights centred (r sums to zero) keep r and
+        the gradient free of cancellation at large t."""
+        u = np.log1p(excess / t)
+        u -= u.mean(axis=-1, keepdims=True)
+        k1 = (u @ yc) / np.sum(u * u, axis=-1)
+        r = k1[..., None] * u - yc
+        w = 1.0 / (excess + t)
+        w -= w.mean(axis=-1, keepdims=True)
+        return k1, r, k1 * np.sum(r * w, axis=-1)
 
-    best = None
-    for k1_0, k2_0 in itertools.product(_KAPPA1_STARTS, _KAPPA2_STARTS):
-        arg0 = base + k2_0
-        if np.any(arg0 <= 0):
-            continue
-        k3_0 = float(np.mean(y - k1_0 * np.log(arg0)))
-        params = np.array([k1_0, k2_0, k3_0])
-        r = residual(params)
-        converged = False
-        for _ in range(_MAX_ITER):
-            k1, k2, _ = params
-            arg = base + k2
-            jac = np.column_stack([np.log(arg), k1 / arg, np.ones_like(arg)])
-            try:
-                step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            # backtrack until the step keeps the log argument positive and
-            # decreases the residual
-            lam, accepted = 1.0, False
-            for _ in range(40):
-                trial = params + lam * step
-                r_trial = residual(trial)
-                if r_trial is not None and _rms(r_trial) < _rms(r):
-                    params, r, accepted = trial, r_trial, True
-                    break
-                lam *= 0.5
-            if not accepted:
-                converged = True
-                break
-            if np.linalg.norm(lam * step) < 1e-12 * (1.0 + np.linalg.norm(params)):
-                converged = True
-                break
-        candidate = (_rms(r), converged, params)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-    if best is None:
-        raise NumericalError("no admissible start: log argument non-positive everywhere")
-    rms, converged, params = best
-    return CalabreseFit(kappa1=float(params[0]), kappa2=float(params[1]),
-                        kappa3=float(params[2]), rms=rms, converged=converged,
-                        n_points=f.size)
+    ts = base.min() * _SCAN_T
+    _, r, g = project(ts[:, None])
+    best = int(np.argmin(np.sum(r ** 2, axis=1)))
+    t, lo, hi = ts.take([best, best - 1, best + 1], mode="clip")
+    converged = bool(0 < best < ts.size - 1 and g[best - 1] < 0 < g[best + 1])
+    while converged and lo < (t := 0.5 * (lo + hi)) < hi:
+        lo, hi = (t, hi) if project(t)[2] < 0 else (lo, t)
+    k1, k2 = float(project(t)[0]), float(t - base.min())
+    r = calabrese_model(f, n_total, k1, k2, 0.0) - y   # kappa3 = -mean(r), rms = std(r)
+    return CalabreseFit(kappa1=k1, kappa2=k2, kappa3=-float(r.mean()),
+                        rms=float(np.std(r)), converged=converged)
 
 
 def calabrese_fit(sweep) -> CalabreseFit:
@@ -138,8 +119,8 @@ def calabrese_fit(sweep) -> CalabreseFit:
 
 
 def fit_area_line(areas, mi_values) -> AreaLawFit:
-    x = np.asarray(areas, dtype=float)
-    y = np.asarray(mi_values, dtype=float)
+    x = _finite("areas", areas)
+    y = _finite("mi_values", mi_values)
     if x.size < 4:
         raise ValueError("the area-law fit needs at least 4 sweep points")
     coeffs_lin = np.polyfit(x, y, 1)
@@ -154,8 +135,7 @@ def fit_area_line(areas, mi_values) -> AreaLawFit:
     else:
         superlinear = False
     return AreaLawFit(slope=float(coeffs_lin[0]), intercept=float(coeffs_lin[1]),
-                      r_squared=r_squared, rms=_rms(res_lin),
-                      superlinear=superlinear, n_points=x.size)
+                      r_squared=r_squared, superlinear=superlinear)
 
 
 def area_law_fit(sweep) -> AreaLawFit:

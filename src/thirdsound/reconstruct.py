@@ -144,6 +144,16 @@ def _mode_observable(gamma0: CovarianceMatrix, omegas: np.ndarray, t: float,
     return y
 
 
+def _available_memory() -> int:
+    """MemAvailable where /proc/meminfo gives it, else physical memory."""
+    try:
+        with open("/proc/meminfo") as fh:
+            info = dict(line.split(":", 1) for line in fh)
+        return int(info["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
                     times, quadrature: str = FIELD, noise_sigma: float = 0.0,
                     seed: int = 0) -> TwoPointSeries:
@@ -152,7 +162,7 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
 
     The t-th sample equals the corresponding block of the freely evolved
     covariance transformed to the pixel lattice.  A sample array larger
-    than physical memory raises ValueError before anything is allocated.
+    than available memory raises ValueError before anything is allocated.
     """
     if gamma0.labelling != MOMENTUM:
         raise ValueError("synthesis starts from a momentum-space covariance")
@@ -160,13 +170,15 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
         raise ValueError("covariance dimension does not match the basis")
     if quadrature not in (FIELD, MOMENTUM_QUADRATURE):
         raise ValueError(f"unknown quadrature {quadrature!r}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     times = np.asarray(times, dtype=float)
     n_pix = basis.grid.n_pixels
     need = times.size * n_pix * n_pix * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _available_memory()
     if need > have:
         raise ValueError(f"{times.size} samples of {n_pix}x{n_pix} pixels need {need} bytes, "
-                         f"more than the {have} bytes of physical memory")
+                         f"more than the {have} bytes of available memory")
     d_phi, d_eta = _mode_prefactors(basis, derived)
     d = d_phi if quadrature == FIELD else d_eta
     g = basis.sampled

@@ -267,6 +267,26 @@ class TestCommands:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: film.{key} must be finite")
 
+    @pytest.mark.parametrize("line", ["reconstruct.noise_sigma = nan",
+                                      "reconstruct.noise_sigma = inf",
+                                      "reconstruct.noise_sigma = -0.1",
+                                      "reconstruct.n_times = -1"])
+    def test_invalid_reconstruct_value_exit_2(self, tmp_path, capsys, monkeypatch, line):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "build_pipeline", refuse)
+        cfg = BASELINE.replace("reconstruct.n_times = 40\n", "") + line + "\n"
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        key = line.split(" =")[0]
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be finite")
+        assert not out.exists()
+
     def test_nan_temperature_sweep_exit_2(self, tmp_path, capsys):
         cfg = BASELINE.replace("film.temperature = 0.3", "film.temperature = nan")
         out = tmp_path / "out"

@@ -164,10 +164,34 @@ class TestSynthesis:
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(rc.os, "sysconf", refuse)
+        monkeypatch.setattr(rc, "_available_memory", refuse)
         monkeypatch.setattr(rc, "_mode_observable", refuse)
         with pytest.raises(ValueError, match="unknown quadrature 'fieldd'"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1, 0.2], quadrature="fieldd")
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_invalid_noise_sigma_raises_before_work(self, monkeypatch, sigma):
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(rc, "_available_memory", refuse)
+        monkeypatch.setattr(rc, "_mode_observable", refuse)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1], noise_sigma=sigma)
+
+    def test_memory_preflight_reads_available_memory(self, monkeypatch):
+        # the preflight compares with what is free, which never exceeds
+        # physical memory; 2 samples of 9 pixels need 1296 bytes
+        physical = rc.os.sysconf("SC_PAGE_SIZE") * rc.os.sysconf("SC_PHYS_PAGES")
+        assert 0 < rc._available_memory() <= physical
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        monkeypatch.setattr(rc, "_available_memory", lambda: 1000)
+        with pytest.raises(ValueError, match="1296 bytes, more than the 1000 bytes of available"):
+            rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1])
 
 
 class TestSeriesValidation:
