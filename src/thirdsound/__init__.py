@@ -14,8 +14,7 @@ from .errors import (ConfigError, NumericalError, RankDeficiencyError,
                      ThirdSoundError, UnphysicalCovarianceError,
                      UnstableRobinError)
 from .physics import (FilmParams, DerivedParams, bose_einstein, derive_params,
-                      dispersion_linear, dispersion_thin_film,
-                      quantum_regime_report, HBAR, K_B)
+                      dispersion_thin_film, quantum_regime_report, HBAR, K_B)
 from .geometry import (BoundaryKind, BoundarySpec, Grid, Mode, ModeBasis,
                        build_basis, solve_wavenumbers_1d)
 from .gaussian import (CovarianceMatrix, SymplecticSpectrum,
@@ -24,8 +23,7 @@ from .gaussian import (CovarianceMatrix, SymplecticSpectrum,
                        von_neumann_entropy)
 from .regions import (RegionMask, RegionStats, SweepResult, area_sweep,
                       mi_map, run_area_sweep, run_volume_sweep, volume_sweep)
-from .reconstruct import (ReconstructionResult, TwoPointSeries,
-                          evolve_mode_covariance, fit_covariance,
+from .reconstruct import (ReconstructionResult, TwoPointSeries, fit_covariance,
                           suggested_times, synth_two_point)
 from .fitting import (AreaLawFit, CalabreseFit, area_law_fit, calabrese_fit,
                       fit_calabrese_curve)

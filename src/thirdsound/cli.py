@@ -59,7 +59,6 @@ class RunConfig:
     reconstruct_quadrature: str = "field"
     reconstruct_n_times: int = 0          # 0: derive from the mode spectrum
     reconstruct_noise_sigma: float = 0.0
-    reconstruct_noise_relative: bool = True
     reconstruct_seed: int = 1234
     # output
     output_dir: str = "out"
@@ -383,7 +382,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     if cfg.reconstruct_n_times > 0:
         times = np.linspace(times[0], times[-1], min(cfg.reconstruct_n_times, times.size))
     sigma = cfg.reconstruct_noise_sigma
-    if sigma > 0 and cfg.reconstruct_noise_relative:
+    if sigma > 0:   # relative to the mean absolute sample
         probe = reconstruct.synth_two_point(gamma_modes, basis, derived, times[:1],
                                             quadrature=cfg.reconstruct_quadrature)
         sigma = sigma * float(np.mean(np.abs(probe.samples)))
@@ -410,7 +409,8 @@ def cmd_fit_calabrese(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     footer = [f"# fit kappa1={fit.kappa1:.17g} kappa2={fit.kappa2:.17g} "
               f"kappa3={fit.kappa3:.17g} rms={fit.rms:.17g} converged={fit.converged}"]
     _write_volume_csv(cfg, out_dir, "fit-calabrese", sweep, footer=footer)
-    header = _header_lines(cfg, "fit-calabrese", {"protocol": sweep.protocol})
+    header = _header_lines(cfg, "fit-calabrese", {"protocol": sweep.protocol,
+                                                  "converged": fit.converged})
     _write_csv(out_dir / "fit_calabrese.csv", header,
                ["kappa1", "kappa2", "kappa3", "rms"],
                [(fit.kappa1, fit.kappa2, fit.kappa3, fit.rms)])

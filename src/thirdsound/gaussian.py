@@ -41,15 +41,24 @@ Gamma = L L^T, nu are the singular values of L^T Omega L (of chol(Q)^T
 chol(P) when R = 0), which symplectic rescalings leave alone, so the huge
 momentum scale needs no balancing.  The classical one, S = 1/2 ln det Q +
 1/2 ln det P + n, errs by 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 per
-mode (nu >= 1) and is taken when a certificate bounds that sum by
+mode (nu >= 1) and is taken when a certificate bounds the error by
 CLASSICAL_TOL.  A diagonal mode state with R = 0 gives Q = G^T diag(a) G
-and P = G^T diag(b) G, so Q_S >= min a G_S^T G_S and P_S >= min b G_S^T G_S
-on any pixel set S, and by monotonicity of symplectic eigenvalues (Bhatia &
-Jain, J. Math. Phys. 56, 112201 (2015)) the j-th nu of Gamma_S is at least
-nu_floor = sqrt(min a min b) times the j-th eigenvalue of G_S^T G_S: 1, but
-1 - |S|/N once on Neumann, whose G lacks the flat mode.  ``to_real_space``
-stores nu_floor and ``restrict`` passes it on; every other state takes the
-exact route, which stays the oracle through ``symplectic_spectrum``.
+and P = G^T diag(b) G, so on any pixel set S, with Pi_S = G_S^T G_S,
+Q_S >= min a Pi_S and min b Pi_S <= P_S <= (1 + delta) min b Pi_S, where
+delta = max b / min b - 1.  By monotonicity of symplectic eigenvalues
+(Bhatia & Jain, J. Math. Phys. 56, 112201 (2015)) the j-th nu of Gamma_S
+is at least nu_floor = sqrt(min a min b) times the j-th eigenvalue of Pi_S:
+1, but 1 - |S|/N once on Neumann, whose G lacks the flat mode.  And
+1/2 ln det P_S is 1/2 |S| ln min b + 1/2 ln det Pi_S to within
+1/2 |S| ln(1 + delta), with ln det Pi_S = 0, or ln(1 - |S|/N) on Neumann.
+Deep in the Rayleigh-Jeans regime delta ~ 1/(12 nu^2) is round-off, so a
+mutual information reads Q alone and takes P's share in closed form: the
+classical field MI of Wolf, Verstraete, Hastings & Cirac, PRL 100, 070502
+(2008).  Both certificates take G_S^T G_S = Pi_S; the per-axis defects
+||B B^T - I||_2 are at most 1.2e-14 on 48 x 48 grids (1.3e-15 for Robin).
+``to_real_space`` stores nu_floor and delta and ``restrict`` passes them
+on; every other state takes the exact route, which stays the oracle
+through ``symplectic_spectrum``.
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ class CovarianceMatrix:
             _largest(r, "covariance block R")
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
-    def _store(self, q, p, r, labelling, basis, nu_floor=None) -> "CovarianceMatrix":
+    def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None) -> "CovarianceMatrix":
         """Keep checked (or exactly symmetric) blocks, read-only; R only when nonzero."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
@@ -136,6 +145,7 @@ class CovarianceMatrix:
         self.labelling = labelling
         self.basis = basis
         self.nu_floor = nu_floor   # certified, see the module docstring; None without one
+        self.p_spread = p_spread   # delta = max b / min b - 1, set with nu_floor
         if self.structural_nulls < 0:
             raise ValueError(f"basis has {basis.n_modes} modes, more than the "
                              f"{basis.grid.n_pixels} pixels it is sampled on")
@@ -203,8 +213,9 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
     nonzero, R = G^T D_phi R~ D_eta G.  A diagonal state with R~ = 0 is
     built axis by axis from its mode weights and stored as built, with its
-    nu_floor on a basis that lacks no mode but the flat Neumann one; any
-    other goes through the dense G products and ``from_blocks``."""
+    nu_floor and P's spread delta on a basis that lacks no mode but the flat
+    Neumann one; any other goes through the dense G products and
+    ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
@@ -214,9 +225,10 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     if r is None and all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in (q, p)):
         a, b = d_phi * np.diagonal(q) * d_phi, d_eta * np.diagonal(p) * d_eta
         flat_only = basis.grid.n_pixels - basis.n_modes == (basis.boundary.kind == "neumann")
-        floor = math.sqrt(a.min() * b.min()) if flat_only and min(a.min(), b.min()) > 0 else None
+        floor, spread = ((math.sqrt(a.min() * b.min()), b.max() / b.min() - 1.0)
+                         if flat_only and min(a.min(), b.min()) > 0 else (None, None))
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-            basis.to_pixels(a), basis.to_pixels(b), None, REAL, basis, floor)
+            basis.to_pixels(a), basis.to_pixels(b), None, REAL, basis, floor, spread)
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
                for m, left, right in ((q, d_phi, d_phi), (p, d_eta, d_eta), (r, d_phi, d_eta)))
@@ -296,14 +308,19 @@ def _entropy_terms(nus: np.ndarray) -> np.ndarray:
 
 
 def entropy_error_bound(gamma: CovarianceMatrix, size: int | None = None) -> float:
-    """Certified bound, in nats, on how far the log-det entropy of any `size`
-    of gamma's dof (default all) lies above the exact one, or inf."""
+    """Certified bound, in nats, on how far a classical entropy of any `size`
+    of gamma's dof (default all) lies from the exact one, or inf: the log-det
+    entropy's excess plus 1/2 size ln(1 + delta), which covers P's
+    closed-form share."""
     if gamma.nu_floor is None:
         return math.inf
     size, n_pixels = gamma.n if size is None else size, gamma.basis.grid.n_pixels
     flat = gamma.basis.n_modes < n_pixels   # the flat Neumann mode is missing
     low = gamma.nu_floor * (1.0 - size / n_pixels if flat else 1.0)   # the lowest nu's floor
-    return math.inf if low < 1.0 else MODE_ERROR * ((size - 1) / gamma.nu_floor ** 2 + 1 / low ** 2)
+    if low < 1.0:
+        return math.inf
+    return (MODE_ERROR * ((size - 1) / gamma.nu_floor ** 2 + 1 / low ** 2)
+            + 0.5 * size * math.log1p(gamma.p_spread))
 
 
 def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
@@ -342,7 +359,8 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     cut = np.ix_(idx, idx)
     r = None if gamma._r is None else gamma._r[cut]
     return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-        gamma._q[cut], gamma._p[cut], r, gamma.labelling, gamma.basis, gamma.nu_floor)
+        gamma._q[cut], gamma._p[cut], r, gamma.labelling, gamma.basis, gamma.nu_floor,
+        gamma.p_spread)
 
 
 class EntropyRoute(NamedTuple):
@@ -361,46 +379,43 @@ def entropy_route(gamma: CovarianceMatrix, smallest: int, largest: int) -> Entro
 
 
 class _LogDets:
-    """Classical entropies of subsets of a certified box of gamma's dof, less
-    sum_i (1 + 1/2 ln Q_ii P_ii): that cancels in any mutual information and
-    leaves log-dets of correlation matrices, small enough to keep their digits.
-    A Cholesky factor of each block and of the reversed block gives every
-    leading and trailing set; a set larger than its complement C uses
-    det M_{-C} = det M det((M^-1)_CC) unless the box has structural nulls (the
-    factors then leave out one end); any other set is factored on its own."""
+    """Classical entropies of subsets S of a certified box of gamma's dof,
+    less sum_i (1 + 1/2 ln Q_ii + 1/2 ln min b), which cancels in any mutual
+    information: log-dets of Q's correlation matrices, small enough to keep
+    their digits, plus P's closed-form share 1/2 ln det Pi_S (module
+    docstring).  A set of at most half the box M is factored on its own; the
+    whole box is M's log-det, and any larger set, with complement C, is
+    det M det((M^-1)_CC) from one inverse built on first use, unless the box
+    holds structural nulls."""
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
-        sub = gamma if box.size == gamma.n else restrict(gamma, box)
-        self.box, self.blocks = box, (sub._q, sub._p)
-        self.diags = [np.diagonal(block) for block in self.blocks]
-        m = sub.n - (sub.structural_nulls > 0)
-        self.leading = _running_logs(self.blocks, m)
-        self.trailing = _running_logs([block[::-1, ::-1] for block in self.blocks], m)
-        self.inverses = [] if m == sub.n else None   # M^-1, built on first use
+        whole = box.size == gamma.n
+        self.box, self.q = box, gamma._q if whole else gamma._q[np.ix_(box, box)]
+        self.diag, self.singular = np.diagonal(self.q), whole and gamma.structural_nulls > 0
+        n_pixels = gamma.basis.grid.n_pixels
+        self.flat = (gamma.basis.n_modes < n_pixels) / n_pixels   # 1/N without the flat mode
+        self.whole = self.inverse = None
 
     def reduced(self, idx: np.ndarray) -> float:
         pos = np.searchsorted(self.box, idx)
         k, n = pos.size, self.box.size
-        if pos[-1] == k - 1 or pos[0] == n - k:
-            return float((self.leading if pos[-1] == k - 1 else self.trailing)[k - 1])
-        base, mats, power = 0.0, self.blocks, 1.0   # the set, factored on its own
-        if self.inverses is not None and 2 * k > n:   # its complement C, scaled by M_ii
-            if not self.inverses:
-                self.inverses = [np.linalg.inv(block) for block in self.blocks]
-            base, mats, power = float(self.leading[-1]), self.inverses, -1.0
-            pos = np.setdiff1d(np.arange(n), pos, assume_unique=True)
-        return base + float(sum(_reduced_logs(_cholesky(m[np.ix_(pos, pos)]), d[pos] ** power).sum()
-                                for m, d in zip(mats, self.diags)))
+        p_share = 0.5 * math.log1p(-k * self.flat)
+        if 2 * k <= n or self.singular:
+            return p_share + _reduced_log_det(self.q[np.ix_(pos, pos)], self.diag[pos])
+        if self.whole is None:
+            self.whole = _reduced_log_det(self.q, self.diag)
+        if k == n:
+            return p_share + self.whole
+        if self.inverse is None:
+            self.inverse = np.linalg.inv(self.q)
+        rest = np.setdiff1d(np.arange(n), pos, assume_unique=True)
+        return p_share + self.whole + _reduced_log_det(self.inverse[np.ix_(rest, rest)],
+                                                       1.0 / self.diag[rest])
 
 
-def _reduced_logs(factor: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """ln(L_ii / sqrt(d_i)) over the positions of the Cholesky factor L."""
-    return np.log(np.diagonal(factor) / np.sqrt(diag[:factor.shape[0]]))
-
-
-def _running_logs(blocks, m: int) -> np.ndarray:
-    """Reduced log-dets of the leading 1..m positions, summed over blocks."""
-    return np.cumsum(sum(_reduced_logs(_cholesky(b[:m, :m]), np.diagonal(b)) for b in blocks))
+def _reduced_log_det(m: np.ndarray, diag: np.ndarray) -> float:
+    """1/2 ln det M - 1/2 sum ln diag, from M's Cholesky factor."""
+    return float(np.log(np.diagonal(_cholesky(m)) / np.sqrt(diag)).sum())
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -414,8 +429,8 @@ def mutual_information_batch(gamma: CovarianceMatrix, pairs):
     """I(A:B) in nats, clamped at zero, for each disjoint (A, B) pair of masks
     or index arrays that `pairs` yields, and the EntropyRoute taken.  When the
     certificate covers the largest A u B, every entropy is read from one
-    ``_LogDets`` of all pairs' pixels; otherwise from ``von_neumann_entropy``,
-    once per distinct set."""
+    ``_LogDets`` of Q on all pairs' pixels; otherwise from
+    ``von_neumann_entropy``, once per distinct set."""
     sets, used = [], np.zeros(gamma.n, dtype=bool)
     for a, b in pairs:
         sets.append((_selector_indices(gamma, a), _selector_indices(gamma, b)))

@@ -244,13 +244,8 @@ class ModeBasis:
     def omegas(self) -> np.ndarray:
         return self._omegas
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return self._ks
-
     def __post_init__(self):
         self._omegas = np.array([m.omega for m in self.modes])
-        self._ks = np.array([m.k for m in self.modes])
         self._index = np.array([m.index for m in self.modes], dtype=int).reshape(-1, 2).T
 
     @property

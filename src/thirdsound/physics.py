@@ -97,17 +97,6 @@ def dispersion_thin_film(k, derived: DerivedParams, h0: float):
     return out if out.ndim else float(out)
 
 
-def dispersion_linear(k, c: float, mass: float = 0.0):
-    """Relativistic-form dispersion omega = c sqrt(k^2 + c^2 mass^2 / hbar^2)."""
-    if c <= 0:
-        raise ValueError("wave speed must be positive")
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0):
-        raise ValueError("wavenumber must be non-negative")
-    out = c * np.sqrt(k**2 + (c * mass / HBAR) ** 2)
-    return out if out.ndim else float(out)
-
-
 def bose_einstein(omega, temperature: float):
     """Bose-Einstein occupation n = 1 / (exp(hbar omega / kB T) - 1).
 

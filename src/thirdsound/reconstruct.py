@@ -116,19 +116,6 @@ class ReconstructionResult:
         return CovarianceMatrix.from_blocks(self.qt, self.pt, self.rt, MOMENTUM, basis=basis)
 
 
-def evolve_mode_covariance(gamma0: CovarianceMatrix, t: float) -> CovarianceMatrix:
-    """Free evolution of a mode-space covariance: per-mode phase rotation
-    by omega_m t.  The symplectic spectrum is invariant."""
-    if gamma0.labelling != MOMENTUM:
-        raise ValueError("evolution acts on momentum-space covariances")
-    if gamma0.basis is None:
-        raise ValueError("covariance carries no mode basis")
-    omegas = gamma0.basis.omegas
-    c, s = np.diag(np.cos(omegas * t)), np.diag(np.sin(omegas * t))
-    rot = np.block([[c, s], [-s, c]])
-    return CovarianceMatrix(rot @ gamma0.data @ rot.T, MOMENTUM, basis=gamma0.basis)
-
-
 def _mode_observable(gamma0: CovarianceMatrix, omegas: np.ndarray, t: float,
                      quadrature: str) -> np.ndarray:
     c, s = np.cos(omegas * t), np.sin(omegas * t)

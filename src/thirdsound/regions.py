@@ -9,11 +9,10 @@ pairs are always separated by a buffer of at least one pixel ring so that
 A and B never touch.
 
 Each protocol hands all its pairs to ``gaussian.mutual_information_batch``,
-which factors each block of a certified state once (and once reversed), on
-the pixels the pairs use.  Pixels are in C order, so a volume-sweep A is a
-leading and B a trailing block, and a set that is the box minus a few pixels
-(A u B, an area-sweep B, the rest of the map's interior) is read from the
-box's inverse, except on a whole Neumann lattice, which is singular.
+which reads a certified state's Q block on the pixels the pairs use, the
+box.  A set of at most half the box is factored on its own, and a larger
+one (A u B, an area-sweep B, the rest of the map's interior) is read from
+the box's one inverse, except on a whole Neumann lattice, which is singular.
 """
 
 from __future__ import annotations
@@ -63,12 +62,6 @@ class RegionMask:
         pixels[ix0:ix1, iy0:(grid.ny if iy1 is None else iy1)] = True
         return cls(grid, pixels)
 
-    @classmethod
-    def from_indices(cls, grid: Grid, indices) -> "RegionMask":
-        flat = np.zeros(grid.n_pixels, dtype=bool)
-        flat[np.asarray(indices, dtype=int)] = True
-        return cls(grid, flat.reshape(grid.nx, grid.ny))
-
     def indices(self) -> np.ndarray:
         """Flat pixel indices (C order over (nx, ny)), matching the
         covariance-matrix pixel ordering."""
@@ -104,9 +97,6 @@ class RegionMask:
 
     def union(self, other: "RegionMask") -> "RegionMask":
         return RegionMask(self.grid, self.pixels | other.pixels)
-
-    def intersects(self, other: "RegionMask") -> bool:
-        return bool(np.any(self.pixels & other.pixels))
 
     def dilate(self, radius: int) -> "RegionMask":
         """Chebyshev dilation by `radius` pixels."""

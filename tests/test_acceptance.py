@@ -175,7 +175,7 @@ def test_criterion_04_pure_state_identity():
     rng = np.random.default_rng(99)
     half = RegionMask.from_columns(grid12, 0, 6)
     square = RegionMask.from_rect(grid12, 4, 4, 5, 5)
-    single = RegionMask.from_indices(grid12, [47])
+    single = RegionMask.from_rect(grid12, 3, 11, 1, 1)   # flat pixel 47
     l_shape = RegionMask(grid12, RegionMask.from_rect(grid12, 1, 1, 6, 2).pixels
                          | RegionMask.from_rect(grid12, 1, 1, 2, 7).pixels)
     random_mask = RegionMask(grid12, rng.random((12, 12)) < 0.4)

@@ -181,6 +181,17 @@ class TestCommands:
         sweep_text = (out / "sweep_volume.csv").read_text()
         assert "# fit kappa1=" in sweep_text
 
+    @pytest.mark.parametrize("config, converged", [
+        ("configs/baseline.cfg", True),
+        # on 10x10 the rms falls all the way to the end of the kappa2 scan
+        ("benchmark/configs/reconstruct-dirichlet-10.cfg", False)])
+    def test_fit_calabrese_csv_says_whether_converged(self, tmp_path, config, converged):
+        out = tmp_path / "out"
+        assert cli.main(["fit-calabrese", "--config", str(REPO / config), "--out", str(out)]) == 0
+        lines = (out / "fit_calabrese.csv").read_text().splitlines()
+        assert [line for line in lines if "converged" in line] == [f"# converged={converged}"]
+        assert lines[-2] == "kappa1,kappa2,kappa3,rms" and len(lines[-1].split(",")) == 4
+
     def test_fit_calabrese_sweep_csv_matches_sweep_volume(self, tmp_path):
         # one writer: the two files differ only in the command line and the fit footer
         cfg = write_config(tmp_path)

@@ -602,9 +602,84 @@ class TestCertifiedClassicalRoute:
             exact = ga.symplectic_spectrum(sub).values
             # Q and P carry round-off of ~1e-16 of their largest entry
             assert np.all(exact >= floors * (1.0 - 1e-9)), (spec.kind, idx.size)
-            bound = ga.MODE_ERROR * np.sum(floors ** -2.0) if floors[0] >= 1 else math.inf
+            bound = (ga.MODE_ERROR * np.sum(floors ** -2.0) + 0.5 * sub.n * math.log1p(sub.p_spread)
+                     if floors[0] >= 1 else math.inf)
             assert ga.entropy_error_bound(sub) == pytest.approx(bound, rel=1e-12)
             assert ga.entropy_error_bound(gr, idx.size) == ga.entropy_error_bound(sub)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_p_spread_enters_bound_and_route(self, spec):
+        # at 0.1 mK b = d_eta^2 (n + 1/2) spreads by ~3e-10, so P's closed-form
+        # share may err by 1/2 |S| ln(1 + delta), a third of each bound
+        gr = self.thermal(spec, 1e-4)
+        omegas = gr.basis.omegas
+        b = DERIVED.luttinger_k * omegas / DERIVED.c3 * (bose_einstein(omegas, 1e-4) + 0.5)
+        delta = b.max() / b.min() - 1.0
+        assert delta > 1e-10 and gr.p_spread == pytest.approx(delta, rel=1e-5)
+        for size in (1, 9, 40):
+            sub = ga.restrict(gr, np.arange(size))
+            assert sub.p_spread == gr.p_spread
+            log_dets = ga.MODE_ERROR * np.sum(self.floors(sub) ** -2.0)
+            share = 0.5 * size * math.log1p(delta)
+            assert share > 0.2 * log_dets
+            assert ga.entropy_error_bound(sub) == pytest.approx(log_dets + share, rel=1e-6)
+            assert ga.entropy_route(gr, 1, size).error_bound == ga.entropy_error_bound(sub)
+
+    def test_p_spread_alone_denies_classical_route(self, monkeypatch):
+        # a diagonal mode state whose P~ spreads by 1e-8 keeps a floor of ~1e7,
+        # which alone would certify every set; its spread certifies none
+        gm = ga.thermal_momentum_covariance(film_basis(6, 6), 0.3)
+        tilt = 1.0 + 1e-8 * np.linspace(0.0, 1.0, gm.n)
+        gm = ga.CovarianceMatrix.from_blocks(gm.q_block, gm.p_block * tilt, None, ga.MOMENTUM,
+                                             basis=gm.basis)
+        gr = ga.to_real_space(gm, gm.basis, DERIVED)
+        assert gr.nu_floor > 1e6 and 0.9e-8 < gr.p_spread < 1.1e-8
+        assert ga.MODE_ERROR * gr.n / gr.nu_floor ** 2 < 1e-12
+        calls = self.count_spectra(monkeypatch)
+        sweep = run_volume_sweep(gr)
+        assert sweep.route.name == "exact" and calls
+        for point in sweep.raw_points:
+            a, b = point.pair.a.indices(), point.pair.b.indices()
+            want = sum(exact_entropy(ga.restrict(gr, s)) * sign
+                       for s, sign in ((a, 1), (b, 1), (np.union1d(a, b), -1)))
+            assert point.mi == pytest.approx(want, abs=1e-10)
+
+    @staticmethod
+    def is_principal(m, r):
+        """Whether r[S][:, S] equals m entry for entry for some index list S."""
+        diag = np.diagonal(r)
+
+        def extend(rows):
+            i = len(rows)
+            hits = () if i == m.shape[0] else np.flatnonzero(
+                (diag == m[i, i]) & np.all(r[:, rows] == m[i, :i], axis=1))
+            return i == m.shape[0] or any(extend(rows + [h]) for h in hits)
+
+        return extend([])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_batch_factors_q_alone(self, spec, monkeypatch):
+        # each factor and inverse of a classical batch is of a principal
+        # submatrix of Q or of the box inverse, never of P: small sets, the
+        # whole box and sets larger than half of it, on the whole lattice
+        # (singular on Neumann) and on the lattice less one pixel
+        gr = self.thermal(spec, 0.3, 7, 5)
+        n, q = gr.n, gr.q_block
+        factored, inverted, inverses = [], [], []
+        cholesky, inv = ga._cholesky, np.linalg.inv
+        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m) or cholesky(m))
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverted.append(m) or
+                            inverses.append(inv(m)) or inverses[-1])
+        for box in (np.arange(n), np.arange(1, n)):   # the whole box only on the second
+            pairs = [(box[:k], box[k + 1:]) for k in range(1, box.size - 1)]
+            pairs += [(box[k:k + 1], np.delete(box, k)) for k in range(box.size) if box[0]]
+            mis, route = ga.mutual_information_batch(gr, pairs)
+            assert route.name == "classical" and np.all(mis > 0)
+        assert all(self.is_principal(m, q) for m in inverted)
+        for m in factored:
+            assert any(self.is_principal(m, r) for r in [q] + inverses), m.shape
+        assert len(inverted) == 1 + (spec.kind.value != "neumann")
+        assert sum(not self.is_principal(m, q) for m in factored) >= n - 3
 
     def test_neumann_lattice_minus_one_pixel(self):
         # the uniform vector is nearly inside this set, so one nu falls ~160x

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from thirdsound import (FilmParams, HBAR, K_B, bose_einstein, derive_params,
-                        dispersion_linear, dispersion_thin_film,
-                        quantum_regime_report)
+                        dispersion_thin_film, quantum_regime_report)
 from thirdsound.geometry import BoundarySpec, Grid, build_basis
 
 BASE = dict(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
@@ -87,16 +86,8 @@ class TestDispersion:
         k_max = min(0.05 / h0, 0.05 / d.ell_c)
         k = np.linspace(1.0, k_max, 500)
         w_full = dispersion_thin_film(k, d, h0)
-        w_lin = dispersion_linear(k, d.c3)
+        w_lin = d.c3 * k
         assert np.max(np.abs(w_full / w_lin - 1.0)) < 1e-2
-
-    def test_linear_dispersion_examples(self):
-        assert dispersion_linear(628.3, 0.1234) == pytest.approx(0.1234 * 628.3)
-        mass = 1e-38
-        gap = dispersion_linear(0.0, 0.1234, mass=mass)
-        assert gap == pytest.approx(0.1234 ** 2 * mass / HBAR)
-        with pytest.raises(ValueError):
-            dispersion_linear(1.0, 0.0)
 
 
 class TestBoseEinstein:
@@ -148,7 +139,7 @@ class TestQuantumRegime:
         d = derive_params(f)
         grid = Grid(1e-6, 1e-6, 4, 4)
         basis = build_basis(grid, BoundarySpec.dirichlet(),
-                            lambda k: dispersion_linear(k, d.c3))
+                            lambda k: d.c3 * k)
         report = quantum_regime_report(basis, 1e-3)
         assert 0.5e-6 < report.t_quantum < 10e-6
 

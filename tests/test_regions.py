@@ -72,12 +72,14 @@ class TestRegionStats:
         assert mask.corner_count() == 4
 
     def test_shapes(self):
-        single = RegionMask.from_indices(self.grid, [33])
+        single = RegionMask.from_rect(self.grid, 3, 3, 1, 1)
         assert single.corner_count() == 4
         l_shape = RegionMask(self.grid, RegionMask.from_rect(self.grid, 1, 1, 3, 1).pixels
                              | RegionMask.from_rect(self.grid, 1, 1, 1, 3).pixels)
         assert l_shape.corner_count() == 6
-        diagonal = RegionMask.from_indices(self.grid, [0, 11])
+        pixels = np.zeros((10, 10), dtype=bool)
+        pixels[0, 0] = pixels[1, 1] = True
+        diagonal = RegionMask(self.grid, pixels)
         assert diagonal.corner_count() == 8
         assert diagonal.boundary_length() == pytest.approx(2 * (2 * 0.2 + 2 * 0.1))
 
@@ -95,7 +97,9 @@ class TestRegionStats:
         assert RegionMask.full(self.grid).rle() == "1:100"
         assert RegionMask.from_columns(self.grid, 0, 2).rle() == "1:20,80"
         assert RegionMask.from_rect(self.grid, 1, 2, 1, 3).rle() == "0:12,3,85"
-        assert RegionMask.from_indices(self.grid, [0, 99]).rle() == "1:1,98,1"
+        corners = np.zeros((10, 10), dtype=bool)
+        corners[0, 0] = corners[9, 9] = True
+        assert RegionMask(self.grid, corners).rle() == "1:1,98,1"
 
     def test_rle_matches_pixel_walk(self):
         def walked(mask):
@@ -125,7 +129,7 @@ class TestVolumeSweep:
             cols_a = np.any(pair.a.pixels, axis=1)
             # A spans full-height columns, so the A-B interface is one cell side
             assert np.all(pair.a.pixels[cols_a, :])
-            assert not pair.a.intersects(pair.b)
+            assert not np.any(pair.a.pixels & pair.b.pixels)
             union = pair.a.union(pair.b)
             assert union.pixel_count == pair.a.pixel_count + pair.b.pixel_count
             # exactly `buffer` empty columns between A and B
@@ -169,7 +173,7 @@ class TestAreaSweep:
         for pair in pairs:
             assert pair.a.pixel_count == 36
             assert pair.a.corner_count() == 4
-            assert not pair.a.dilate(1).intersects(pair.b)
+            assert not np.any(pair.a.dilate(1).pixels & pair.b.pixels)
         perims = [p.a.boundary_length() for p in pairs]
         assert perims == sorted(perims)
 
