@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ EXIT_NUMERICAL = 3
 EXIT_UNPHYSICAL = 4
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig:   # the fields without a default are the required keys
     # film
     film_h0: float
     film_alpha_vdw: float
@@ -44,12 +44,12 @@ class RunConfig:
     film_rho: float = FilmParams.rho
     film_m4: float = FilmParams.m4
     # grid
-    grid_lx: float = 5e-3
-    grid_ly: float = 5e-3
-    grid_nx: int = 20
-    grid_ny: int = 20
+    grid_lx: float
+    grid_ly: float
+    grid_nx: int
+    grid_ny: int
     # boundary
-    boundary_kind: str = "dirichlet"
+    boundary_kind: str
     boundary_alpha: float | None = None
     # sweeps
     sweep_buffer: int = 1
@@ -62,10 +62,6 @@ class RunConfig:
     reconstruct_seed: int = 1234
     # output
     output_dir: str = "out"
-
-
-_REQUIRED = ("film.h0", "film.alpha_vdw", "film.temperature",
-             "grid.lx", "grid.ly", "grid.nx", "grid.ny", "boundary.kind")
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
@@ -100,7 +96,8 @@ def parse_config(text: str) -> RunConfig:
         # annotations are strings here; "float" and "float | None" parse as float
         target = {"int": int, "bool": bool, "str": str}.get(known[attr].type, float)
         values[attr] = _coerce(raw, target, key, lineno)
-    missing = [k for k in _REQUIRED if k.replace(".", "_") not in values]
+    missing = [f.name.replace("_", ".", 1) for f in known.values()
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
     try:
@@ -377,10 +374,14 @@ def cmd_mi_map(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def cmd_reconstruct(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    film, derived, basis, gamma_modes, _ = build_pipeline(cfg)
+    film, derived, basis = _film_basis(cfg)
+    gamma_modes = gaussian.thermal_momentum_covariance(basis, film.temperature)
     times = reconstruct.suggested_times(basis)
     if cfg.reconstruct_n_times > 0:
-        times = np.linspace(times[0], times[-1], min(cfg.reconstruct_n_times, times.size))
+        # a random subset, unlike a coarse uniform grid, does not alias; seeded apart from the noise
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.reconstruct_seed).spawn(1)[0])
+        times = np.sort(rng.choice(times, min(cfg.reconstruct_n_times, times.size),
+                                   replace=False))
     sigma = cfg.reconstruct_noise_sigma
     if sigma > 0:   # relative to the mean absolute sample
         probe = reconstruct.synth_two_point(gamma_modes, basis, derived, times[:1],
@@ -394,7 +395,8 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
     err = np.linalg.norm(result.gamma().data - truth) / np.linalg.norm(truth)
     header = _header_lines(cfg, "reconstruct", {
         "quadrature": series.quadrature, "n_times": series.n_times,
-        "noise_sigma_absolute": f"{sigma:.17g}"})
+        "noise_sigma_absolute": f"{sigma:.17g}",
+        "design_condition": f"{result.condition:.6g}"})
     path = out_dir / "reconstruct.csv"
     _write_csv(path, header,
                ["relative_frobenius_error", "residual_rms", "n_unidentifiable"],

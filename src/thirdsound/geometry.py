@@ -126,35 +126,36 @@ def _robin_eq(k, alpha, length):
     return (k * k - alpha * alpha) * np.sin(k * length) - 2.0 * alpha * k * np.cos(k * length)
 
 
-def _robin_root(alpha: float, length: float, branch: int) -> float:
-    """Bisect the single quantisation root in ((branch-1) pi/L, branch pi/L)."""
+def _robin_roots(alpha: float, length: float, count: int) -> np.ndarray:
+    """Bisect the single quantisation root in each ((m-1) pi/L, m pi/L),
+    m = 1..count, all branches at once."""
+    branch = np.arange(1, count + 1)
     lo = (branch - 1) * math.pi / length
     hi = branch * math.pi / length
     # endpoints are roots of sin(kL); nudge inward, keeping the tiny-alpha
     # root k ~ sqrt(2 alpha / L) of branch 1 inside the bracket
     pad = (hi - lo) * 1e-13
-    lo = lo + pad if branch > 1 else min(pad, 0.25 * math.sqrt(2.0 * alpha / length))
+    lo += pad
+    lo[0] = min(pad[0], 0.25 * math.sqrt(2.0 * alpha / length))
     hi -= pad
-    flo = _robin_eq(lo, alpha, length)
-    fhi = _robin_eq(hi, alpha, length)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NumericalError(
-            f"Robin bracket {branch} has no sign change (alpha*L={alpha * length:g})")
+    flo, fhi = _robin_eq(lo, alpha, length), _robin_eq(hi, alpha, length)
+    same_sign = flo * fhi > 0
+    if same_sign.any():
+        raise NumericalError(f"Robin bracket {np.argmax(same_sign) + 1} has no sign "
+                             f"change (alpha*L={alpha * length:g})")
+    root = np.where(flo == 0.0, lo, hi)        # kept where an end is a root
+    active = (flo != 0.0) & (fhi != 0.0)
     for _ in range(_ROBIN_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
         fmid = _robin_eq(mid, alpha, length)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
+        done = active & ((mid == lo) | (mid == hi) | (fmid == 0.0))
+        root[done] = mid[done]
+        active &= ~done
+        if not active.any():
+            return root
+        left = flo * fmid < 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
     raise NumericalError(f"Robin bisection did not converge in {_ROBIN_MAX_BISECT} iterations")
 
 
@@ -174,7 +175,7 @@ def solve_wavenumbers_1d(boundary: BoundarySpec, length: float, count: int) -> n
         return np.arange(1, count + 1) * math.pi / length
     if kind is BoundaryKind.NEUMANN:
         return np.arange(0, count) * math.pi / length
-    return np.array([_robin_root(boundary.alpha, length, m) for m in range(1, count + 1)])
+    return _robin_roots(boundary.alpha, length, count)
 
 
 def sine_basis_1d(n: int) -> np.ndarray:

@@ -33,16 +33,19 @@ its rows for (m, n) and (n, m) coincide, so it fits the symmetric part of
 Y.  The momentum quadrature swaps c and s and flips the sign of R~.
 
 `fit_covariance` solves the normal equations A^T A x = A^T y of every pair
-at once.  Each entry of A^T A is a time sum of products of c^2, s^2 and
-c s for modes m and n, i.e. an entry of one of six n x n products such as
-(C^2)^T C^2; A^T y accumulates one sample at a time.  On the diagonal and
-on pairs with degenerate frequencies (w_m = w_n, generic on square grids)
-c_m s_n = s_m c_n: there is no beat note and the antisymmetric part of R~
-is unidentifiable.  Those pairs are solved with the three columns
-(c_m c_n, s_m s_n, c_m s_n + s_m c_n), which sets R~_mn = R~_nm (exact on
-the diagonal), and the degenerate off-diagonal ones are reported in
-`unidentifiable_pairs`.  A pair whose A^T A has a condition number of at
-least RANK_COND (cond(A) >= 1e6) is rank deficient.
+at once, in the unknowns Q~_mn, P~_mn and (R~_mn +- R~_nm) / sqrt(2), with
+columns c_m c_n, s_m s_n and (c_m s_n +- s_m c_n) / sqrt(2); this change of
+unknowns is orthonormal and leaves cond(A) unchanged.  Each entry of A^T A
+is an entry of one of six n x n time sums such as (C^2)^T C^2; A^T y
+accumulates one sample at a time.  On the diagonal and on pairs with
+degenerate frequencies (w_m = w_n, generic on square grids) the
+antisymmetric column vanishes: there is no beat note and R~_mn - R~_nm is
+unidentifiable.  Its unknown is pinned to zero, which sets R~_mn = R~_nm
+(exact on the diagonal): its row, column and right-hand side are zeroed and
+its diagonal entry copies the symmetric part's, which lies within the
+eigenvalue range of the rest and so keeps cond(A).  Degenerate off-diagonal
+pairs are reported in `unidentifiable_pairs`; a pair whose A^T A has a
+condition number of at least RANK_COND (cond(A) >= 1e6) is rank deficient.
 """
 
 from __future__ import annotations
@@ -167,21 +170,19 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
         raise ValueError(f"{times.size} samples of {n_pix}x{n_pix} pixels need {need} bytes, "
                          f"more than the {have} bytes of available memory")
     d_phi, d_eta = _mode_prefactors(basis, derived)
-    d = d_phi if quadrature == FIELD else d_eta
-    g = basis.sampled
+    dg = (d_phi if quadrature == FIELD else d_eta)[:, None] * basis.sampled
     omegas = basis.omegas
     rng = np.random.default_rng(seed)
     samples = np.empty((times.size, n_pix, n_pix))
     iu = np.triu_indices(n_pix)
     for it, t in enumerate(times):
         y = _mode_observable(gamma0, omegas, t, quadrature)
-        m = g.T @ (d[:, None] * y * d[None, :]) @ g
+        m = dg.T @ y @ dg
         m = 0.5 * (m + m.T)
         if noise_sigma > 0:
             noise = np.zeros_like(m)
             noise[iu] = rng.normal(0.0, noise_sigma, size=iu[0].size)
-            noise = noise + np.triu(noise, 1).T
-            m = m + noise
+            m += noise + np.triu(noise, 1).T
         samples[it] = m
     return TwoPointSeries(quadrature=quadrature, times=times, samples=samples,
                           noise_sigma=noise_sigma, seed=seed)
@@ -206,23 +207,23 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
 
     The normal equations of every mode pair are built from Gram sums and
     from right-hand sides accumulated one sample at a time, then solved in
-    two batches: diagonal and degenerate pairs with three unknowns
-    (R~_mn = R~_nm), every other pair with four.  `condition` is the
+    one batch of 4 x 4 systems; diagonal and degenerate pairs pin the
+    antisymmetric part of R~ to zero (R~_mn = R~_nm).  `condition` is the
     largest cond(A) over all pairs.  Raises RankDeficiencyError if any
     pair's cond(A^T A) reaches RANK_COND.
     """
     if series.n_pixels != basis.grid.n_pixels:
         raise ValueError("series pixel count does not match the basis grid")
-    g = basis.sampled
-    d_phi, d_eta = _mode_prefactors(basis, derived)
     field_quadrature = series.quadrature == FIELD
-    d = d_phi if field_quadrature else d_eta
+    d, d_inv = _mode_prefactors(basis, derived)
     omegas = basis.omegas
     n = basis.n_modes
     phase = np.outer(series.times, omegas)                  # (nt, n)
     cos_t, sin_t = np.cos(phase), np.sin(phase)
-    if not field_quadrature:   # swap cos and sin, negate R~ (see _mode_observable)
-        cos_t, sin_t = sin_t, cos_t
+    if not field_quadrature:   # swap cos and sin, D and D^-1; R~ is negated below
+        cos_t, sin_t, d, d_inv = sin_t, cos_t, d_inv, d
+    g = basis.sampled
+    dg, g_d = d[:, None] * g, d_inv[:, None] * g
 
     # gram[m, n, i, j] = sum_t f_i f_j over the columns
     # f = (c_m c_n, s_m s_n, c_m s_n, s_m c_n)
@@ -237,9 +238,8 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     # right-hand sides sum_t f_i Y_mn from Y(t) = D^-1 G M(t) G^T D^-1,
     # symmetrised because the (m, n) and (n, m) rows coincide
     b_cc, b_ss, b_cs = np.zeros((3, n, n))
-    dd = np.outer(d, d)
     for sample, c, s in zip(series.samples, cos_t, sin_t):
-        y = (g @ sample @ g.T) / dd
+        y = g_d @ sample @ g_d.T
         y = 0.5 * (y + y.T)
         cy, sy = c[:, None] * y, s[:, None] * y
         b_cc += cy * c
@@ -252,19 +252,19 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     off = tied & (iu != ju)
     unidentifiable = list(zip(iu[off].tolist(), ju[off].tolist()))
 
-    # tied pairs: the R~ columns merge into f_3 + f_4
-    merge = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
-    a4, b4 = gram[iu, ju], rhs[iu, ju]
-    a3, b3 = merge.T @ a4[tied] @ merge, b4[tied] @ merge
-    a4, b4 = a4[~tied], b4[~tied]
-    worst = np.concatenate([np.linalg.cond(a3), np.linalg.cond(a4)]).max()
+    # rot maps (Q~, P~, R~_mn, R~_nm) to (Q~, P~, (R~_mn +- R~_nm) / sqrt(2)) and back
+    h = np.sqrt(0.5)
+    rot = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, h, h], [0, 0, h, -h]])
+    a, b = rot @ gram[iu, ju] @ rot, rhs[iu, ju] @ rot
+    # a tied pair has no antisymmetric column: pin that unknown to zero
+    a[tied, 3, :] = a[tied, :, 3] = b[tied, 3] = 0.0
+    a[tied, 3, 3] = a[tied, 2, 2]
+    worst = np.linalg.cond(a).max()
     if not worst < RANK_COND:
         raise RankDeficiencyError(
             f"design condition number {np.sqrt(worst):.3g} >= {np.sqrt(RANK_COND):.0g}; "
             "add time samples spanning the slowest beat period")
-    sol = np.empty((iu.size, 4))
-    sol[tied] = np.linalg.solve(a3, b3[..., None])[:, [0, 1, 2, 2], 0]
-    sol[~tied] = np.linalg.solve(a4, b4[..., None])[..., 0]
+    sol = np.linalg.solve(a, b[..., None])[..., 0] @ rot
     if not field_quadrature:
         sol[:, 2:] *= -1.0
 
@@ -278,9 +278,8 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
                                   unidentifiable_pairs=unidentifiable)
     gamma_fit = result.gamma(basis=basis)
     sq = 0.0
-    for it, t in enumerate(series.times):
-        y = _mode_observable(gamma_fit, omegas, t, series.quadrature)
-        model = g.T @ (d[:, None] * y * d[None, :]) @ g
-        sq += float(np.mean((model - series.samples[it]) ** 2))
+    for t, sample in zip(series.times, series.samples):
+        model = dg.T @ _mode_observable(gamma_fit, omegas, t, series.quadrature) @ dg
+        sq += float(np.mean((model - sample) ** 2))
     result.residual_rms = float(np.sqrt(sq / series.n_times))
     return result

@@ -95,9 +95,6 @@ class RegionMask:
                            boundary_length=self.boundary_length(),
                            corner_count=self.corner_count())
 
-    def union(self, other: "RegionMask") -> "RegionMask":
-        return RegionMask(self.grid, self.pixels | other.pixels)
-
     def dilate(self, radius: int) -> "RegionMask":
         """Chebyshev dilation by `radius` pixels."""
         p = np.pad(self.pixels, radius, constant_values=False)

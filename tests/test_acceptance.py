@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from thirdsound import (FilmParams, HBAR, K_B, bose_einstein, derive_params,
+from thirdsound import (FilmParams, bose_einstein, derive_params,
                         dispersion_thin_film)
 from thirdsound import fitting, gaussian as ga, reconstruct as rc, regions as rg
 from thirdsound.geometry import BoundarySpec, Grid, build_basis, solve_wavenumbers_1d

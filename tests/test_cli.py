@@ -1,6 +1,5 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from thirdsound import cli
@@ -171,6 +170,20 @@ class TestCommands:
         err = float(lines[1].split(",")[0])
         assert err < 1e-6
 
+    def test_reconstruct_time_subset_well_conditioned(self, tmp_path):
+        # 50 of the suggested times, drawn at random, keep every beat note
+        # apart; 50 evenly spaced ones alias them to cond(A) ~ 1e2
+        out = tmp_path / "out"
+        cfg = BASELINE.replace("grid.nx = 8", "grid.nx = 10").replace(
+            "grid.ny = 8", "grid.ny = 10").replace("n_times = 40", "n_times = 50")
+        assert cli.main(["reconstruct", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+        lines = (out / "reconstruct.csv").read_text().splitlines()
+        header = dict(l[2:].split("=", 1) for l in lines if l.startswith("# ") and "=" in l)
+        assert header["n_times"] == "50"
+        assert float(header["design_condition"]) < 3.0
+        assert float(lines[-1].split(",")[0]) < 1e-12
+
     def test_fit_calabrese_csv(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["fit-calabrese", "--config", write_config(tmp_path),
@@ -286,7 +299,7 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(cli, "build_pipeline", refuse)
+        monkeypatch.setattr(cli, "_film_basis", refuse)
         cfg = BASELINE.replace("reconstruct.n_times = 40\n", "") + line + "\n"
         out = tmp_path / "out"
         assert cli.main(["reconstruct", "--config", write_config(tmp_path, cfg),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thirdsound import cli, fitting, regions
-from thirdsound.errors import NumericalError
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -4,12 +4,48 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from thirdsound import geometry
 from thirdsound.errors import NumericalError, UnstableRobinError
 from thirdsound.geometry import (BoundarySpec, Grid, build_basis,
                                  cosine_basis_1d, robin_basis_1d,
                                  sine_basis_1d, solve_wavenumbers_1d)
 
 L = 5e-3
+
+
+def robin_bracket(alpha, length, branch):
+    """Padded bracket of one Robin branch, computed one scalar at a time."""
+    lo = (branch - 1) * math.pi / length
+    hi = branch * math.pi / length
+    pad = (hi - lo) * 1e-13
+    lo = lo + pad if branch > 1 else min(pad, 0.25 * math.sqrt(2.0 * alpha / length))
+    return lo, hi - pad
+
+
+def scalar_robin_root(alpha, length, branch):
+    """Reference: bisect one branch's root with scalar arithmetic."""
+    lo, hi = robin_bracket(alpha, length, branch)
+    flo = geometry._robin_eq(lo, alpha, length)
+    fhi = geometry._robin_eq(hi, alpha, length)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise NumericalError(
+            f"Robin bracket {branch} has no sign change (alpha*L={alpha * length:g})")
+    for _ in range(geometry._ROBIN_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        fmid = geometry._robin_eq(mid, alpha, length)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    raise NumericalError("Robin bisection did not converge")
 
 
 def linear_dispersion(k):
@@ -64,6 +100,38 @@ class TestWavenumbers1D:
         m = np.arange(1, 6)
         assert np.all(branches > (m - 1) * math.pi / L)
         assert np.all(branches < m * math.pi / L)
+
+    @pytest.mark.parametrize("length", [1e-3, 3.7e-3, 5e-3])
+    @pytest.mark.parametrize("count", [3, 10, 48])
+    def test_robin_roots_bit_identical_to_scalar_bisection(self, length, count):
+        for alpha in np.logspace(-3, 8, 12):
+            ks = solve_wavenumbers_1d(BoundarySpec.robin(alpha), length, count)
+            ref = [scalar_robin_root(alpha, length, m) for m in range(1, count + 1)]
+            assert ks.tolist() == ref
+
+    def test_robin_exact_zeros_at_ends_and_midpoint(self, monkeypatch):
+        # residual zeros planted on branch 2's lower end, branch 3's upper
+        # end and branch 4's first midpoint are returned as they are
+        alpha = 200.0
+        lo2, _ = robin_bracket(alpha, L, 2)
+        _, hi3 = robin_bracket(alpha, L, 3)
+        mid4 = 0.5 * sum(robin_bracket(alpha, L, 4))
+        planted = [lo2, hi3, mid4]
+        real = geometry._robin_eq
+        monkeypatch.setattr(geometry, "_robin_eq", lambda k, a, length: np.where(
+            np.isin(k, planted), 0.0, real(k, a, length)))
+        ks = solve_wavenumbers_1d(BoundarySpec.robin(alpha), L, 5)
+        assert ks[1:4].tolist() == planted
+        assert ks.tolist() == [scalar_robin_root(alpha, L, m) for m in range(1, 6)]
+
+    def test_robin_bracket_without_sign_change_named(self, monkeypatch):
+        real = geometry._robin_eq
+        # lift branch 3's residual clear of zero on both ends
+        lo3, hi3 = robin_bracket(200.0, L, 3)
+        monkeypatch.setattr(geometry, "_robin_eq", lambda k, a, length: np.where(
+            (k >= lo3) & (k <= hi3), 1.0, real(k, a, length)))
+        with pytest.raises(NumericalError, match="Robin bracket 3 has no sign change"):
+            solve_wavenumbers_1d(BoundarySpec.robin(200.0), L, 6)
 
     def test_unstable_robin_rejected(self):
         with pytest.raises(UnstableRobinError):

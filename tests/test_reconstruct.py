@@ -283,6 +283,27 @@ class TestFit:
         assert result.rt[n, m] == pytest.approx(0.5, abs=1e-6)
         assert result.qt[m, n] == pytest.approx(0.0, abs=1e-6)
 
+    def test_one_solve_and_one_cond_for_every_pair(self, monkeypatch):
+        # tied and untied pairs share one batched 4 x 4 system
+        basis = film_basis(4, 4)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        series = rc.synth_two_point(g0, basis, DERIVED, rc.suggested_times(basis))
+        calls = {"solve": 0, "cond": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(rc.np.linalg, name, counted(name))
+        result = rc.fit_covariance(series, basis, DERIVED)
+        assert result.unidentifiable_pairs   # the square grid has tied pairs
+        assert calls == {"solve": 1, "cond": 1}
+
     def test_field_and_momentum_series_agree(self):
         basis = film_basis(3, 4)   # 3 pairs degenerate on this square cell
         g0 = ga.thermal_momentum_covariance(basis, 0.3)

@@ -130,8 +130,8 @@ class TestVolumeSweep:
             # A spans full-height columns, so the A-B interface is one cell side
             assert np.all(pair.a.pixels[cols_a, :])
             assert not np.any(pair.a.pixels & pair.b.pixels)
-            union = pair.a.union(pair.b)
-            assert union.pixel_count == pair.a.pixel_count + pair.b.pixel_count
+            union = pair.a.pixels | pair.b.pixels
+            assert np.count_nonzero(union) == pair.a.pixel_count + pair.b.pixel_count
             # exactly `buffer` empty columns between A and B
             gap = np.flatnonzero(np.any(pair.b.pixels, axis=1))[0] - np.flatnonzero(cols_a)[-1] - 1
             assert gap == 1
