@@ -8,11 +8,16 @@ n..2n-1 momentum quadratures, matching Omega = (0, I; -I, 0).  Entropy is
 always in nats.  The vacuum is Gamma = I/2 and every physical state has
 symplectic eigenvalues nu >= 1/2.
 
-Storage.  A state keeps its n x n blocks Q and P, and R only when it is
-nonzero; the full matrix is assembled on demand (``data``).  A thermal
-state has R = 0 in mode space and on the pixel lattice, so neither it nor
-any restriction of it ever holds a 2n x 2n matrix or a zero block.  Its
-real-space blocks are built exactly symmetric and stored as built.
+Storage.  A state keeps its blocks Q and P, and R only when it is
+nonzero; a diagonal block is kept as its vector, and the n x n blocks and
+the full matrix are assembled on demand (``q_block``, ``p_block``,
+``data``).  A thermal state has R = 0 in mode space and on the pixel
+lattice, so neither it nor any restriction of it ever holds a 2n x 2n
+matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
+once for Q~ and P~.  On the pixel lattice it holds Q, built exactly
+symmetric, and P's mode weights: P is built from them on its first read
+(``p_block``, ``data``, ``restrict`` and the exact route), which a mutual
+information on the certified route never makes.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -30,8 +35,8 @@ spectrum rather than flagged as uncertainty violations.
 Checks.  A covariance is checked once, where it enters: the public
 constructors reject non-finite entries and asymmetry above SYMMETRY_TOL of
 the largest entry, and symmetrise what they keep.  A partial trace keeps the
-principal submatrices it gathers, the thermal mode state its diagonal
-blocks built from checked occupations, and ``to_real_space`` the exactly
+principal submatrices it gathers, the thermal mode state the diagonals
+it builds from checked occupations, and ``to_real_space`` the exactly
 symmetric real-space blocks of a diagonal, R = 0 mode state, without
 checking them again.  Every other real-space state is checked by
 ``from_blocks``.
@@ -91,6 +96,23 @@ def _largest(block: np.ndarray, name: str) -> float:
     return scale
 
 
+def _compact(block: np.ndarray) -> np.ndarray:
+    """A square block with no nonzero entry off its diagonal as that diagonal,
+    any other as it is."""
+    diag = np.diagonal(block)
+    return diag.copy() if np.count_nonzero(block) == np.count_nonzero(diag) else block
+
+
+def _dense(block: np.ndarray) -> np.ndarray:
+    """A stored block as its n x n matrix, read-only; a diagonal kept as its
+    vector is expanded on each call."""
+    if block.ndim == 2:
+        return block
+    full = np.diag(block)
+    full.setflags(write=False)
+    return full
+
+
 def _symmetrised(block, name: str) -> np.ndarray:
     """A private symmetric copy (M + M^T) / 2 of a square block.  Raises if
     the block has a non-finite entry or departs from symmetry by more than
@@ -104,8 +126,8 @@ def _symmetrised(block, name: str) -> np.ndarray:
 
 
 class CovarianceMatrix:
-    """Immutable symmetric covariance matrix, stored as its Q and P blocks
-    and its R block when that is nonzero.
+    """Immutable symmetric covariance matrix, stored as its Q and P blocks,
+    a diagonal one as its vector, and its R block when that is nonzero.
 
     ``CovarianceMatrix(data, labelling)`` checks and splits a full 2n x 2n
     matrix; ``CovarianceMatrix.from_blocks(q, p, r, labelling)`` checks blocks.
@@ -117,8 +139,8 @@ class CovarianceMatrix:
             raise ValueError(f"covariance must be square with even dimension, got {data.shape}")
         data = _symmetrised(data, "covariance matrix")
         n = data.shape[0] // 2
-        self._store(data[:n, :n].copy(), data[n:, n:].copy(), data[:n, n:].copy(),
-                    labelling, basis)
+        self._store(_compact(data[:n, :n].copy()), _compact(data[n:, n:].copy()),
+                    data[:n, n:].copy(), labelling, basis)
 
     @classmethod
     def from_blocks(cls, q, p, r, labelling: str, basis=None) -> "CovarianceMatrix":
@@ -127,17 +149,21 @@ class CovarianceMatrix:
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(p) != shape or (
                 r is not None and np.shape(r) != shape):
             raise ValueError("Q, P and R must be square blocks of one shape")
-        q, p = _symmetrised(q, "covariance block Q"), _symmetrised(p, "covariance block P")
+        q, p = (_compact(_symmetrised(m, f"covariance block {name}"))
+                for m, name in ((q, "Q"), (p, "P")))
         if r is not None:
             r = np.array(r, dtype=float)
             _largest(r, "covariance block R")
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
-    def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None) -> "CovarianceMatrix":
-        """Keep checked (or exactly symmetric) blocks, read-only; R only when nonzero."""
+    def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None,
+               p_weights=None) -> "CovarianceMatrix":
+        """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
+        as its vector; R only when nonzero; P as None with its mode weights
+        when it is built on first read."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
-        self._q, self._p = q, p
+        self._q, self._p, self._p_weights = q, p, p_weights
         self._r = r if r is not None and r.any() else None
         for block in (q, p, self._r):
             if block is not None:
@@ -154,7 +180,8 @@ class CovarianceMatrix:
     @property
     def data(self) -> np.ndarray:
         """The full 2n x 2n matrix, assembled on each call."""
-        return np.block([[self._q, self.r_block], [self.r_block.T, self._p]])
+        r = self.r_block
+        return np.block([[self.q_block, r], [r.T, self.p_block]])
 
     @property
     def n(self) -> int:
@@ -169,14 +196,28 @@ class CovarianceMatrix:
 
     @property
     def q_block(self) -> np.ndarray:
-        return self._q
+        return _dense(self._q)
 
     @property
     def r_block(self) -> np.ndarray:
-        return self._r if self._r is not None else np.zeros_like(self._q)
+        return self._r if self._r is not None else np.zeros((self.n, self.n))
 
     @property
     def p_block(self) -> np.ndarray:
+        return _dense(self._stored_p())
+
+    @property
+    def diagonals(self):
+        """(diag Q, diag P) of a state stored as diagonal blocks with R = 0, else None."""
+        if self._r is None and self._q.ndim == 1 and self._p.ndim == 1:
+            return self._q, self._p
+        return None
+
+    def _stored_p(self) -> np.ndarray:
+        """P as stored, built from its mode weights on the first call that needs it."""
+        if self._p is None:
+            self._p = self.basis.to_pixels(self._p_weights)
+            self._p.setflags(write=False)
         return self._p
 
     def __repr__(self):
@@ -198,9 +239,11 @@ class SymplecticSpectrum:
 
 
 def thermal_momentum_covariance(basis, temperature: float) -> CovarianceMatrix:
-    """Thermal state in the mode basis: Q~ = P~ = diag(n_T(omega) + 1/2), R~ = 0."""
-    diag = np.diag(bose_einstein(basis.omegas, temperature) + 0.5)
-    return CovarianceMatrix.__new__(CovarianceMatrix)._store(diag, diag, None, MOMENTUM, basis)
+    """Thermal state in the mode basis: Q~ = P~ = diag(n_T(omega) + 1/2), R~ = 0,
+    stored as the one vector n_T(omega) + 1/2."""
+    occupation = bose_einstein(basis.omegas, temperature) + 0.5
+    return CovarianceMatrix.__new__(CovarianceMatrix)._store(
+        occupation, occupation, None, MOMENTUM, basis)
 
 
 def _mode_prefactors(basis, derived: DerivedParams):
@@ -211,27 +254,28 @@ def _mode_prefactors(basis, derived: DerivedParams):
 def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
     """Transform a mode-space covariance to pixel-lattice labelling:
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
-    nonzero, R = G^T D_phi R~ D_eta G.  A diagonal state with R~ = 0 is
-    built axis by axis from its mode weights and stored as built, with its
-    nu_floor and P's spread delta on a basis that lacks no mode but the flat
-    Neumann one; any other goes through the dense G products and
-    ``from_blocks``."""
+    nonzero, R = G^T D_phi R~ D_eta G.  A state stored diagonal with R~ = 0
+    keeps Q, built axis by axis from its mode weights, and P's mode weights,
+    from which P is built on first read; it carries its nu_floor and P's
+    spread delta on a basis that lacks no mode but the flat Neumann one.  Any
+    other goes through the dense G products and ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
         raise ValueError(f"covariance has {gamma.n} modes, basis has {basis.n_modes}")
     d_phi, d_eta = _mode_prefactors(basis, derived)
-    q, p, r = gamma.q_block, gamma.p_block, gamma._r
-    if r is None and all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in (q, p)):
-        a, b = d_phi * np.diagonal(q) * d_phi, d_eta * np.diagonal(p) * d_eta
+    if gamma.diagonals is not None:
+        q, p = gamma.diagonals
+        a, b = d_phi * q * d_phi, d_eta * p * d_eta
         flat_only = basis.grid.n_pixels - basis.n_modes == (basis.boundary.kind == "neumann")
         floor, spread = ((math.sqrt(a.min() * b.min()), b.max() / b.min() - 1.0)
                          if flat_only and min(a.min(), b.min()) > 0 else (None, None))
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-            basis.to_pixels(a), basis.to_pixels(b), None, REAL, basis, floor, spread)
+            basis.to_pixels(a), None, None, REAL, basis, floor, spread, b)
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
-               for m, left, right in ((q, d_phi, d_phi), (p, d_eta, d_eta), (r, d_phi, d_eta)))
+               for m, left, right in ((gamma.q_block, d_phi, d_phi),
+                                      (gamma.p_block, d_eta, d_eta), (gamma._r, d_phi, d_eta)))
     return CovarianceMatrix.from_blocks(q, p, r, REAL, basis=basis)
 
 
@@ -327,7 +371,7 @@ def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
     """Entropy in nats: 1/2 ln det Q + 1/2 ln det P + n when the certificate
     bounds that by CLASSICAL_TOL, else from the symplectic spectrum."""
     if entropy_error_bound(gamma) <= CLASSICAL_TOL:
-        half = sum(np.log(np.diagonal(_cholesky(m))).sum() for m in (gamma._q, gamma._p))
+        half = sum(np.log(np.diagonal(_cholesky(m))).sum() for m in (gamma.q_block, gamma.p_block))
         return float(half) + gamma.n
     return float(math.fsum(_entropy_terms(symplectic_spectrum(gamma).values)))
 
@@ -356,11 +400,10 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     array into the n degrees of freedom (either labelling).
     """
     idx = _selector_indices(gamma, selector)
-    cut = np.ix_(idx, idx)
-    r = None if gamma._r is None else gamma._r[cut]
+    q, p, r = (None if m is None else m[idx] if m.ndim == 1 else m[np.ix_(idx, idx)]
+               for m in (gamma._q, gamma._stored_p(), gamma._r))
     return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-        gamma._q[cut], gamma._p[cut], r, gamma.labelling, gamma.basis, gamma.nu_floor,
-        gamma.p_spread)
+        q, p, r, gamma.labelling, gamma.basis, gamma.nu_floor, gamma.p_spread)
 
 
 class EntropyRoute(NamedTuple):
@@ -390,7 +433,8 @@ class _LogDets:
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
         whole = box.size == gamma.n
-        self.box, self.q = box, gamma._q if whole else gamma._q[np.ix_(box, box)]
+        q = gamma.q_block
+        self.box, self.q = box, q if whole else q[np.ix_(box, box)]
         self.diag, self.singular = np.diagonal(self.q), whole and gamma.structural_nulls > 0
         n_pixels = gamma.basis.grid.n_pixels
         self.flat = (gamma.basis.n_modes < n_pixels) / n_pixels   # 1/N without the flat mode

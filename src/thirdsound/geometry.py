@@ -26,7 +26,7 @@ Kronecker product Bx (x) By of the two per-axis matrices, for all three
 boundary kinds.  The basis keeps Bx, By and each mode's (mx, my), and maps
 a diagonal mode-space matrix to the pixel lattice, G^T diag(w) G, one axis
 at a time: O(n^5) for an n x n grid instead of O(n^6) for the dense
-products, and exactly symmetric.
+products, exactly symmetric, and written into its one output buffer.
 """
 
 from __future__ import annotations
@@ -260,12 +260,17 @@ class ModeBasis:
         return float(np.max(np.abs(g @ g.T - np.eye(self.n_modes))))
 
     def to_pixels(self, weights: np.ndarray) -> np.ndarray:
-        """G^T diag(weights) G, exactly symmetric, in O(n^5) for an n x n grid.
+        """G^T diag(weights) G, exactly symmetric, in O(n^5) for an n x n grid
+        and one n_pixels x n_pixels buffer.
 
         The product is a weighted sum of Kronecker products,
         sum_m w_m (Bx[mx] Bx[mx]^T) (x) (By[my] By[my]^T), contracted one
-        axis at a time.  Each entry is averaged with its transposed partner,
-        (M + M^T) / 2, as it is laid out.
+        axis at a time: one GEMM fills the buffer in (i, j, a, b) order, and
+        each x row i is then laid out in place as its (i, a), (j, b) rows.
+        Each entry is averaged with its transposed partner, (M + M^T) / 2,
+        one x row against one x column at a time.  (A GEMM per x row would
+        need no reordering, but OpenBLAS blocks such smaller products
+        differently and they can differ in the last bit.)
         """
         bx, by = self.axes
         nx, ny = bx.shape[0], by.shape[0]
@@ -274,9 +279,13 @@ class ModeBasis:
         w[mx, my] = weights
         ty = np.einsum("xy,ya,yb->xab", w, by, by, optimize=True)          # (mx, a, b)
         t = np.tensordot(bx[:, :, None] * bx[:, None, :], ty, axes=(0, 0))   # (i, j, a, b)
-        t += t.transpose(1, 0, 3, 2)
-        t *= 0.5
-        return t.transpose(0, 2, 1, 3).reshape(nx * ny, nx * ny)
+        out = t.reshape(nx, ny, nx, ny)                                      # (i, a, j, b)
+        for i in range(nx):
+            out[i] = t[i].transpose(1, 0, 2).copy()
+        for i in range(nx):
+            row, col = out[i, :, i:], out[i:, :, i].transpose(2, 0, 1)      # (a, j, b) each
+            row[...] = col[...] = (row + col) * 0.5
+        return out.reshape(nx * ny, nx * ny)
 
 
 def build_basis(grid: Grid, boundary: BoundarySpec,

@@ -121,17 +121,34 @@ class ReconstructionResult:
 
 def _mode_observable(gamma0: CovarianceMatrix, omegas: np.ndarray, t: float,
                      quadrature: str) -> np.ndarray:
+    """Y(t) in mode space; for a state stored as diagonals with R~ = 0, the
+    diagonal of Y(t)."""
     c, s = np.cos(omegas * t), np.sin(omegas * t)
-    qt, pt, rt = gamma0.q_block, gamma0.p_block, gamma0._r
+    rt = gamma0._r
     if quadrature != FIELD:
         # the momentum model is the field model with cos and sin swapped
         # and R~ negated
         c, s, rt = s, c, rt if rt is None else -rt
-    y = c[:, None] * qt * c[None, :] + s[:, None] * pt * s[None, :]
+    if gamma0.diagonals is not None:
+        qt, pt = gamma0.diagonals
+        return c * qt * c + s * pt * s
+    y = c[:, None] * gamma0.q_block * c[None, :] + s[:, None] * gamma0.p_block * s[None, :]
     if rt is not None:
         y += c[:, None] * rt * s[None, :]
         y += s[:, None] * rt.T * c[None, :]
     return y
+
+
+def _pixel_observable(gamma0: CovarianceMatrix, dg: np.ndarray, omegas: np.ndarray,
+                      t: float, quadrature: str) -> np.ndarray:
+    """G^T D Y(t) D G for dg = D G; a diagonal Y(t) scales the rows of D G
+    instead of being expanded."""
+    y = _mode_observable(gamma0, omegas, t, quadrature)
+    if y.ndim == 1:
+        # C order, as dg.T @ diag(y) is laid out: the second product's
+        # operands, and so its bits, are those of the dense route
+        return np.ascontiguousarray(dg.T * y) @ dg
+    return dg.T @ y @ dg
 
 
 def _available_memory() -> int:
@@ -165,10 +182,9 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     times = np.asarray(times, dtype=float)
     n_pix = basis.grid.n_pixels
     need = times.size * n_pix * n_pix * 8
-    have = _available_memory()
-    if need > have:
+    if need > _available_memory():
         raise ValueError(f"{times.size} samples of {n_pix}x{n_pix} pixels need {need} bytes, "
-                         f"more than the {have} bytes of available memory")
+                         "more than the available memory")
     d_phi, d_eta = _mode_prefactors(basis, derived)
     dg = (d_phi if quadrature == FIELD else d_eta)[:, None] * basis.sampled
     omegas = basis.omegas
@@ -176,8 +192,7 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     samples = np.empty((times.size, n_pix, n_pix))
     iu = np.triu_indices(n_pix)
     for it, t in enumerate(times):
-        y = _mode_observable(gamma0, omegas, t, quadrature)
-        m = dg.T @ y @ dg
+        m = _pixel_observable(gamma0, dg, omegas, t, quadrature)
         m = 0.5 * (m + m.T)
         if noise_sigma > 0:
             noise = np.zeros_like(m)
@@ -279,7 +294,7 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     gamma_fit = result.gamma(basis=basis)
     sq = 0.0
     for t, sample in zip(series.times, series.samples):
-        model = dg.T @ _mode_observable(gamma_fit, omegas, t, series.quadrature) @ dg
+        model = _pixel_observable(gamma_fit, dg, omegas, t, series.quadrature)
         sq += float(np.mean((model - sample) ** 2))
     result.residual_rms = float(np.sqrt(sq / series.n_times))
     return result

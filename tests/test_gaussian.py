@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from thirdsound import gaussian as ga
 from thirdsound.errors import UnphysicalCovarianceError
 from thirdsound.geometry import BoundarySpec, Grid, ModeBasis, build_basis
 from thirdsound.physics import dispersion_thin_film
-from thirdsound.regions import RegionMask, run_volume_sweep
+from thirdsound.regions import RegionMask, mi_map, run_area_sweep, run_volume_sweep
 
 FILM = FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
 DERIVED = derive_params(FILM)
@@ -300,7 +301,7 @@ class TestChecksRunWhereStatesEnter:
         del checked[:]
         gr = ga.to_real_space(gm, basis, DERIVED)
         kronecker = state != "squeezed"
-        assert len(weights) == (2 if kronecker else 0)
+        assert len(weights) == (1 if kronecker else 0)   # Q; P waits for its first read
         assert checked == ([] if kronecker else ["covariance block Q", "covariance block P"])
         assert (gr.nu_floor is not None) == kronecker
         if state == "constructed":
@@ -336,6 +337,65 @@ class TestChecksRunWhereStatesEnter:
             assert not got.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 got[0, 0] = 1.0
+
+
+class TestStateStorage:
+    """A thermal state holds its mode weights as vectors and, on the pixel
+    lattice, one n_pixels^2 block: Q.  P is built from its weights on its
+    first read, which the certified MI route never makes."""
+
+    @staticmethod
+    def square_arrays(gamma, n):
+        return [name for name, value in vars(gamma).items()
+                if isinstance(value, np.ndarray) and value.size >= n * n]
+
+    def test_thermal_mode_state_holds_no_square_array(self):
+        basis = film_basis(5, 4, BoundarySpec.neumann())
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        assert self.square_arrays(gm, basis.n_modes) == []
+        assert gm.diagonals[0] is gm.diagonals[1]   # Q~ = P~, one vector
+        assert np.array_equal(gm.q_block, np.diag(bose_einstein(basis.omegas, 0.3) + 0.5))
+
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_certified_mi_never_builds_p(self, monkeypatch, spec):
+        basis = film_basis(8, 6, spec)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        weights = []
+        to_pixels = ModeBasis.to_pixels
+
+        def spy(self, w):
+            weights.append(w)
+            return to_pixels(self, w)
+
+        monkeypatch.setattr(ModeBasis, "to_pixels", spy)
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        assert len(weights) == 1 and self.square_arrays(gr, gr.n) == ["_q"]
+        pairs = [(np.arange(5), np.arange(7, 20)), (np.arange(30, 48), np.arange(3))]
+        routes = [ga.mutual_information_batch(gr, pairs)[1], run_volume_sweep(gr).route,
+                  run_area_sweep(gr, 6).route]
+        mi_map(gr)
+        assert {route.name for route in routes} == {"classical"}
+        assert len(weights) == 1 and self.square_arrays(gr, gr.n) == ["_q"]
+
+        d_eta = ga._mode_prefactors(basis, DERIVED)[1]
+        b = d_eta * gm.diagonals[1] * d_eta
+        assert gr.p_block.tobytes() == to_pixels(basis, b).tobytes()
+        assert gr.data[gr.n:, gr.n:].tobytes() == gr.p_block.tobytes()
+        assert len(weights) == 2   # built once, on the first read
+
+    def test_to_real_space_holds_one_block(self):
+        # Q is the one n_pixels^2 block: an eager P or a full-size
+        # temporary in to_pixels would each add another
+        basis = film_basis(24, 24)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        tracemalloc.start()
+        try:
+            ga.to_real_space(gm, basis, DERIVED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * basis.grid.n_pixels ** 2 * 8
 
 
 class TestSymplecticSpectrum:

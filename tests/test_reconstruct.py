@@ -199,8 +199,20 @@ class TestSynthesis:
         basis = film_basis(3, 3)
         g0 = ga.thermal_momentum_covariance(basis, 0.3)
         monkeypatch.setattr(rc, "_available_memory", lambda: 1000)
-        with pytest.raises(ValueError, match="1296 bytes, more than the 1000 bytes of available"):
+        with pytest.raises(ValueError, match="1296 bytes, more than the available memory"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1])
+
+    def test_memory_preflight_message_is_deterministic(self, monkeypatch):
+        # the message names the bytes needed, not the live free memory
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        messages = []
+        for have in (1000, 1295):
+            monkeypatch.setattr(rc, "_available_memory", lambda: have)
+            with pytest.raises(ValueError) as err:
+                rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestSeriesValidation:
