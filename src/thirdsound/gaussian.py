@@ -14,10 +14,15 @@ the full matrix are assembled on demand (``q_block``, ``p_block``,
 ``data``).  A thermal state has R = 0 in mode space and on the pixel
 lattice, so neither it nor any restriction of it ever holds a 2n x 2n
 matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
-once for Q~ and P~.  On the pixel lattice it holds Q, built exactly
-symmetric, and P's mode weights: P is built from them on its first read
-(``p_block``, ``data``, ``restrict`` and the exact route), which a mutual
-information on the certified route never makes.
+once for Q~ and P~.  On the pixel lattice it holds the mode weights a of
+Q and b of P, and each whole block is built from them, exactly symmetric,
+on its first read (``q_block``, ``p_block``, ``data``, ``restrict`` and the
+exact route).  A mutual information on the certified route never reads P,
+and reads Q only on the box of pixels its pairs use.  A certified state
+also keeps Q's axis rows, (nx + ny) n_modes numbers, and a small box is
+gathered from them as W W^T, W of shape |S| x n_modes, until the gathers
+would have cost more than building Q; a loop over small sets, such as tile
+against tile, never holds an n_pixels^2 block.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -157,13 +162,15 @@ class CovarianceMatrix:
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
     def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None,
-               p_weights=None) -> "CovarianceMatrix":
+               weights=None, rows=None) -> "CovarianceMatrix":
         """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
-        as its vector; R only when nonzero; P as None with its mode weights
-        when it is built on first read."""
+        as its vector; R only when nonzero; Q and P as None with their mode
+        weights (a, b) when each is built on its first whole read, and with
+        Q's axis rows when sets of Q are gathered from them."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
-        self._q, self._p, self._p_weights = q, p, p_weights
+        self._q, self._p, self._weights, self._rows = q, p, weights, rows
+        self._gathered = 0   # multiply-adds the gathers from the axis rows have spent
         self._r = r if r is not None and r.any() else None
         for block in (q, p, self._r):
             if block is not None:
@@ -185,7 +192,7 @@ class CovarianceMatrix:
 
     @property
     def n(self) -> int:
-        return self._q.shape[0]
+        return self.basis.grid.n_pixels if self._q is None else self._q.shape[0]
 
     @property
     def structural_nulls(self) -> int:
@@ -196,7 +203,7 @@ class CovarianceMatrix:
 
     @property
     def q_block(self) -> np.ndarray:
-        return _dense(self._q)
+        return _dense(self._stored_q())
 
     @property
     def r_block(self) -> np.ndarray:
@@ -209,20 +216,52 @@ class CovarianceMatrix:
     @property
     def diagonals(self):
         """(diag Q, diag P) of a state stored as diagonal blocks with R = 0, else None."""
-        if self._r is None and self._q.ndim == 1 and self._p.ndim == 1:
+        if self._r is None and self._q is not None and self._q.ndim == 1 and self._p.ndim == 1:
             return self._q, self._p
         return None
+
+    def _stored_q(self) -> np.ndarray:
+        """Q as stored, built from its mode weights on the first call that needs it."""
+        if self._q is None:
+            self._q = _built(self.basis, self._weights[0])
+        return self._q
 
     def _stored_p(self) -> np.ndarray:
         """P as stored, built from its mode weights on the first call that needs it."""
         if self._p is None:
-            self._p = self.basis.to_pixels(self._p_weights)
-            self._p.setflags(write=False)
+            self._p = _built(self.basis, self._weights[1])
         return self._p
+
+    def _q_on(self, box: np.ndarray) -> np.ndarray:
+        """Q_S on an index set S.  While Q is unbuilt, S is gathered from the
+        axis rows as W W^T, W = X[ix_S] * Y[iy_S], for 1/2 |S| (|S| + 1) n_modes
+        multiply-adds.  The first S that would take the gathers' total past
+        nx^3 ny^2, the cost of building Q, builds it instead (ski rental: a run
+        of sets never costs more than twice the cheaper plan), and every later
+        S is gathered from the built block, or is the block when S is all."""
+        if self._q is None:
+            cost = box.size * (box.size + 1) // 2 * self.basis.n_modes
+            grid = self.basis.grid
+            if self._gathered + cost <= grid.nx ** 3 * grid.ny ** 2:
+                self._gathered += cost
+                (x, y), (ix, iy) = self._rows, np.divmod(box, grid.ny)
+                w = y[iy]
+                starts = np.flatnonzero(np.diff(ix)) + 1
+                for run, i in zip(np.split(w, starts), ix[np.r_[0, starts]]):
+                    run *= x[i]   # in place: one |S| x n_modes array at a time
+                return w @ w.T   # syrk, exactly symmetric
+        q = self._stored_q()
+        return q if box.size == self.n else q[np.ix_(box, box)]
 
     def __repr__(self):
         return (f"CovarianceMatrix(n={self.n}, labelling={self.labelling!r}, "
                 f"nulls={self.structural_nulls})")
+
+
+def _built(basis, weights: np.ndarray) -> np.ndarray:
+    block = basis.to_pixels(weights)
+    block.setflags(write=False)
+    return block
 
 
 @dataclass(frozen=True)
@@ -255,10 +294,11 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     """Transform a mode-space covariance to pixel-lattice labelling:
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
     nonzero, R = G^T D_phi R~ D_eta G.  A state stored diagonal with R~ = 0
-    keeps Q, built axis by axis from its mode weights, and P's mode weights,
-    from which P is built on first read; it carries its nu_floor and P's
-    spread delta on a basis that lacks no mode but the flat Neumann one.  Any
-    other goes through the dense G products and ``from_blocks``."""
+    keeps the mode weights of Q and P, from which each block is built axis by
+    axis on its first whole read.  On a basis that lacks no mode but the flat
+    Neumann one it carries its nu_floor and P's spread delta, and Q's axis
+    rows (``ModeBasis.axis_rows``), from which small sets of Q are gathered.
+    Any other goes through the dense G products and ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
@@ -271,7 +311,8 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
         floor, spread = ((math.sqrt(a.min() * b.min()), b.max() / b.min() - 1.0)
                          if flat_only and min(a.min(), b.min()) > 0 else (None, None))
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-            basis.to_pixels(a), None, None, REAL, basis, floor, spread, b)
+            None, None, None, REAL, basis, floor, spread, (a, b),
+            None if floor is None else basis.axis_rows(a))
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
                for m, left, right in ((gamma.q_block, d_phi, d_phi),
@@ -401,7 +442,7 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     """
     idx = _selector_indices(gamma, selector)
     q, p, r = (None if m is None else m[idx] if m.ndim == 1 else m[np.ix_(idx, idx)]
-               for m in (gamma._q, gamma._stored_p(), gamma._r))
+               for m in (gamma._stored_q(), gamma._stored_p(), gamma._r))
     return CovarianceMatrix.__new__(CovarianceMatrix)._store(
         q, p, r, gamma.labelling, gamma.basis, gamma.nu_floor, gamma.p_spread)
 
@@ -426,16 +467,17 @@ class _LogDets:
     less sum_i (1 + 1/2 ln Q_ii + 1/2 ln min b), which cancels in any mutual
     information: log-dets of Q's correlation matrices, small enough to keep
     their digits, plus P's closed-form share 1/2 ln det Pi_S (module
-    docstring).  A set of at most half the box M is factored on its own; the
-    whole box is M's log-det, and any larger set, with complement C, is
-    det M det((M^-1)_CC) from one inverse built on first use, unless the box
-    holds structural nulls."""
+    docstring).  Q on the box, M, is gathered from Q's axis rows while that
+    costs less than building Q, else from the built block (``_q_on``).  A
+    set of at most half the box is factored on its own; the whole box is M's
+    log-det, and any larger set, with complement C, is det M det((M^-1)_CC)
+    from one inverse built on first use, unless the box holds structural
+    nulls."""
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
-        whole = box.size == gamma.n
-        q = gamma.q_block
-        self.box, self.q = box, q if whole else q[np.ix_(box, box)]
-        self.diag, self.singular = np.diagonal(self.q), whole and gamma.structural_nulls > 0
+        self.box, self.q = box, gamma._q_on(box)
+        self.diag = np.diagonal(self.q)
+        self.singular = box.size == gamma.n and gamma.structural_nulls > 0
         n_pixels = gamma.basis.grid.n_pixels
         self.flat = (gamma.basis.n_modes < n_pixels) / n_pixels   # 1/N without the flat mode
         self.whole = self.inverse = None

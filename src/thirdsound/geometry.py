@@ -255,6 +255,16 @@ class ModeBasis:
         (bx, by), (mx, my) = self.axes, self._index
         return (bx[mx][:, :, None] * by[my][:, None, :]).reshape(self.n_modes, self.grid.n_pixels)
 
+    def axis_rows(self, weights: np.ndarray):
+        """(X, Y) of shapes (nx, n_modes) and (ny, n_modes), X[i] = sqrt(weights)
+        Bx[mx, i] and Y[a] = By[my, a]: pixel (i, a)'s column of
+        diag(sqrt(weights)) G is X[i] * Y[a], so on a pixel set S,
+        G_S^T diag(weights) G_S = W W^T with W = X[ix_S] * Y[iy_S]."""
+        (bx, by), (mx, my) = self.axes, self._index
+        x = np.take(bx.T, mx, axis=1)
+        x *= np.sqrt(weights)
+        return x, np.take(by.T, my, axis=1)
+
     def orthonormality_defect(self) -> float:
         g = self.sampled
         return float(np.max(np.abs(g @ g.T - np.eye(self.n_modes))))

@@ -226,6 +226,12 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     antisymmetric part of R~ to zero (R~_mn = R~_nm).  `condition` is the
     largest cond(A) over all pairs.  Raises RankDeficiencyError if any
     pair's cond(A^T A) reaches RANK_COND.
+
+    `residual_rms` takes a second pass over the samples.  The one-pass
+    identity |y - A x|^2 = y^T y - 2 x^T A^T y + x^T A^T A x, summed in the
+    A^T y loop, cannot stand in for it: its terms cancel to round-off.  On
+    the noiseless 10 x 10 Dirichlet series it came out negative, -1.1e-27,
+    a residual rms of 4.8e-18 by magnitude where the two passes give 3.2e-26.
     """
     if series.n_pixels != basis.grid.n_pixels:
         raise ValueError("series pixel count does not match the basis grid")

@@ -56,6 +56,20 @@ def random_physical_two_mode(seed):
     return ga.CovarianceMatrix(s @ np.diag(np.tile(nus, 2)) @ s.T, ga.MOMENTUM), nus
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The weights of every ModeBasis.to_pixels call, in order."""
+    weights = []
+    to_pixels = ModeBasis.to_pixels
+
+    def spy(self, w):
+        weights.append(w)
+        return to_pixels(self, w)
+
+    monkeypatch.setattr(ModeBasis, "to_pixels", spy)
+    return weights
+
+
 class TestThermalConstruction:
     def test_vacuum(self):
         basis = film_basis(4, 4)
@@ -282,26 +296,18 @@ class TestChecksRunWhereStatesEnter:
         assert checked == blocks
 
     @pytest.mark.parametrize("state", ["thermal", "constructed", "squeezed"])
-    def test_route_follows_mode_shape(self, checked, monkeypatch, state):
+    def test_route_follows_mode_shape(self, checked, built, state):
         # a diagonal R-free mode state, thermal or from the public
-        # constructor, goes axis by axis and gets a floor; any other goes
-        # through dense G products and the checks of from_blocks
+        # constructor, keeps its mode weights and gets a floor; any other
+        # goes through dense G products and the checks of from_blocks
         basis = film_basis(4, 3, BoundarySpec.neumann())
         thermal = ga.thermal_momentum_covariance(basis, 0.3)
         gm = {"thermal": thermal, "squeezed": squeezed(thermal, seed=5),
               "constructed": ga.CovarianceMatrix(thermal.data, ga.MOMENTUM, basis=basis)}[state]
-        weights = []
-        to_pixels = ModeBasis.to_pixels
-
-        def spy(self, w):
-            weights.append(w)
-            return to_pixels(self, w)
-
-        monkeypatch.setattr(ModeBasis, "to_pixels", spy)
         del checked[:]
         gr = ga.to_real_space(gm, basis, DERIVED)
         kronecker = state != "squeezed"
-        assert len(weights) == (1 if kronecker else 0)   # Q; P waits for its first read
+        assert built == []   # Q and P wait for their first whole read
         assert checked == ([] if kronecker else ["covariance block Q", "covariance block P"])
         assert (gr.nu_floor is not None) == kronecker
         if state == "constructed":
@@ -370,13 +376,14 @@ class TestStateStorage:
 
         monkeypatch.setattr(ModeBasis, "to_pixels", spy)
         gr = ga.to_real_space(gm, basis, DERIVED)
-        assert len(weights) == 1 and self.square_arrays(gr, gr.n) == ["_q"]
+        assert weights == [] and self.square_arrays(gr, gr.n) == []
         pairs = [(np.arange(5), np.arange(7, 20)), (np.arange(30, 48), np.arange(3))]
         routes = [ga.mutual_information_batch(gr, pairs)[1], run_volume_sweep(gr).route,
                   run_area_sweep(gr, 6).route]
         mi_map(gr)
         assert {route.name for route in routes} == {"classical"}
-        assert len(weights) == 1 and self.square_arrays(gr, gr.n) == ["_q"]
+        assert len(weights) == 1 and self.square_arrays(gr, gr.n) == ["_q"]   # Q, once
+        assert weights[0] is gr._weights[0]
 
         d_eta = ga._mode_prefactors(basis, DERIVED)[1]
         b = d_eta * gm.diagonals[1] * d_eta
@@ -384,18 +391,90 @@ class TestStateStorage:
         assert gr.data[gr.n:, gr.n:].tobytes() == gr.p_block.tobytes()
         assert len(weights) == 2   # built once, on the first read
 
-    def test_to_real_space_holds_one_block(self):
-        # Q is the one n_pixels^2 block: an eager P or a full-size
-        # temporary in to_pixels would each add another
+    def test_to_real_space_holds_no_block(self):
+        # the state keeps mode weights and axis rows, (nx + ny) n_modes
+        # doubles: an eager Q or P would add a whole n_pixels^2 block
         basis = film_basis(24, 24)
         gm = ga.thermal_momentum_covariance(basis, 0.3)
         tracemalloc.start()
         try:
-            ga.to_real_space(gm, basis, DERIVED)
+            gr = ga.to_real_space(gm, basis, DERIVED)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * basis.grid.n_pixels ** 2 * 8
+        assert self.square_arrays(gr, gr.n) == []
+        assert peak <= 0.1 * basis.grid.n_pixels ** 2 * 8
+
+
+def tiles(grid, size=3):
+    """The centre size x size tile's pixels and those of every tile that
+    shares no edge or corner with it."""
+    ntx, nty = grid.nx // size, grid.ny // size
+    cx, cy = ntx // 2, nty // 2
+
+    def tile(tx, ty):
+        return RegionMask.from_rect(grid, tx * size, ty * size, size, size).indices()
+
+    return tile(cx, cy), [tile(tx, ty) for tx in range(ntx) for ty in range(nty)
+                          if max(abs(tx - cx), abs(ty - cy)) > 1]
+
+
+class TestQGather:
+    """Certified MI on small pixel sets reads Q_S from the axis rows; Q is
+    built when the gathers would cost more than building it."""
+
+    @pytest.mark.parametrize("shape", [(24, 24), (17, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_tile_mi_never_builds_q(self, built, spec, shape):
+        basis = film_basis(*shape, spec)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        dense = ga.to_real_space(gm, basis, DERIVED)
+        dense.q_block   # built first: every set is gathered from the block
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        centre, others = tiles(basis.grid)
+        assert ga.entropy_route(gr, centre.size, 2 * centre.size).name == "classical"
+        del built[:]
+        tracemalloc.start()
+        try:
+            got = [ga.mutual_information(gr, centre, b) for b in others]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [] and gr._q is None
+        assert peak < 0.25 * basis.grid.n_pixels ** 2 * 8
+        want = [ga.mutual_information(dense, centre, b) for b in others]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    def test_builds_q_where_gathers_would_cost_more(self, built):
+        # 8 x 8: building Q costs 8^3 8^2 = 32,768 multiply-adds, a 10-pixel
+        # gather 55 * 64 = 3,520, so nine gather and the tenth builds
+        basis = film_basis(8, 8)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        rng = np.random.default_rng(3)
+        boxes = [np.sort(rng.choice(gr.n, 10, replace=False)) for _ in range(14)]
+        gathered = [gr._q_on(box) for box in boxes[:9]]
+        assert built == []
+        assert all(np.array_equal(q, q.T) for q in gathered)   # syrk
+        gr._q_on(boxes[9])
+        assert len(built) == 1
+        q = gr.q_block
+        for box in boxes[9:]:
+            assert gr._q_on(box).tobytes() == q[np.ix_(box, box)].tobytes()
+        assert len(built) == 1
+        for box, got in zip(boxes, gathered):
+            assert np.max(np.abs(got - q[np.ix_(box, box)])) <= 1e-14 * np.max(q)
+
+    @pytest.mark.parametrize("box", ["whole", "interior"])
+    def test_large_box_builds_q_at_once(self, built, box):
+        basis = film_basis(8, 8)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        idx = (np.arange(gr.n) if box == "whole" else
+               RegionMask.from_columns(basis.grid, 1, 7, 1, 7).indices())
+        got = gr._q_on(idx)
+        assert len(built) == 1
+        assert got.tobytes() == gr.q_block[np.ix_(idx, idx)].tobytes()
 
 
 class TestSymplecticSpectrum:
