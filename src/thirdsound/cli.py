@@ -167,8 +167,7 @@ def build_pipeline(cfg: RunConfig):
     """Film -> derived constants -> mode basis -> thermal real-space state."""
     film, derived, basis = _film_basis(cfg)
     gamma_modes = gaussian.thermal_momentum_covariance(basis, film.temperature)
-    gamma_real = gaussian.to_real_space(gamma_modes, basis, derived)
-    return film, derived, basis, gamma_modes, gamma_real
+    return gaussian.to_real_space(gamma_modes, basis, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +311,12 @@ def cmd_params(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def _volume_sweep(cfg: RunConfig):
-    return regions.run_volume_sweep(build_pipeline(cfg)[4], buffer=cfg.sweep_buffer,
+    return regions.run_volume_sweep(build_pipeline(cfg), buffer=cfg.sweep_buffer,
                                     include_cell_boundary=cfg.sweep_include_cell_boundary)
 
 
 def _area_sweep(cfg: RunConfig):
-    return regions.run_area_sweep(build_pipeline(cfg)[4], cfg.sweep_fixed_volume,
+    return regions.run_area_sweep(build_pipeline(cfg), cfg.sweep_fixed_volume,
                                   include_cell_boundary=cfg.sweep_include_cell_boundary,
                                   buffer=cfg.sweep_buffer)
 
@@ -360,7 +359,7 @@ def cmd_sweep_area(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
 
 
 def cmd_mi_map(cfg: RunConfig, out_dir: Path, svg: bool) -> None:
-    gamma = build_pipeline(cfg)[4]
+    gamma = build_pipeline(cfg)
     field, route = regions.mi_map(gamma), regions.map_route(gamma)
     header = _header_lines(cfg, "mi-map", {"note": "outer pixel ring excluded"}, route)
     rows = [(ix, iy, field[ix, iy])

@@ -46,6 +46,8 @@ its diagonal entry copies the symmetric part's, which lies within the
 eigenvalue range of the rest and so keeps cond(A).  Degenerate off-diagonal
 pairs are reported in `unidentifiable_pairs`; a pair whose A^T A has a
 condition number of at least RANK_COND (cond(A) >= 1e6) is rank deficient.
+The residual models each sample from the fitted blocks themselves, through
+the same pixel observable that synthesis evaluates.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ NYQUIST_FACTOR = 4.0     # dt <= pi / (NYQUIST_FACTOR * w_max)
 SPAN_CYCLES = 2.0        # span in periods of the smallest nonzero frequency gap
 
 
+def _checked_times(times) -> np.ndarray:
+    """Sample times as floats; raises unless they are finite and strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must be finite and strictly increasing")
+    return times
+
+
 @dataclass
 class TwoPointSeries:
     """Time-stamped equal-time two-point samples of one quadrature."""
@@ -77,17 +87,12 @@ class TwoPointSeries:
     quadrature: str
     times: np.ndarray
     samples: np.ndarray          # (n_times, n_pix, n_pix), symmetric to 1e-12 relative
-    noise_sigma: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _checked_times(self.times)
         self.samples = np.asarray(self.samples, dtype=float)
         if self.quadrature not in (FIELD, MOMENTUM_QUADRATURE):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if (self.times.ndim != 1 or not np.all(np.isfinite(self.times))
-                or np.any(np.diff(self.times) <= 0)):
-            raise ValueError("sample times must be finite and strictly increasing")
         if self.samples.ndim != 3 or self.samples.shape[0] != self.times.size:
             raise ValueError("one sample matrix per time stamp required")
         scale = max(self.samples.max(), -self.samples.min())   # NaN or inf anywhere shows here
@@ -115,39 +120,29 @@ class ReconstructionResult:
     condition: float                    # largest per-pair cond(A)
     unidentifiable_pairs: list = field(default_factory=list)
 
-    def gamma(self, basis=None) -> CovarianceMatrix:
-        return CovarianceMatrix.from_blocks(self.qt, self.pt, self.rt, MOMENTUM, basis=basis)
+    def gamma(self) -> CovarianceMatrix:
+        return CovarianceMatrix.from_blocks(self.qt, self.pt, self.rt, MOMENTUM)
 
 
-def _mode_observable(gamma0: CovarianceMatrix, omegas: np.ndarray, t: float,
-                     quadrature: str) -> np.ndarray:
-    """Y(t) in mode space; for a state stored as diagonals with R~ = 0, the
-    diagonal of Y(t)."""
+def _pixel_observable(q, p, r, dg: np.ndarray, omegas: np.ndarray, t: float,
+                      quadrature: str) -> np.ndarray:
+    """G^T D Y(t) D G for dg = D G, with Y(t) the mode-space observable of the
+    blocks (Q~, P~, R~), r=None for R~ = 0.  Vector q and p (a diagonal state
+    with R~ = 0) make Y(t) diagonal: it scales the rows of D G, never expanded."""
     c, s = np.cos(omegas * t), np.sin(omegas * t)
-    rt = gamma0._r
     if quadrature != FIELD:
         # the momentum model is the field model with cos and sin swapped
         # and R~ negated
-        c, s, rt = s, c, rt if rt is None else -rt
-    if gamma0.diagonals is not None:
-        qt, pt = gamma0.diagonals
-        return c * qt * c + s * pt * s
-    y = c[:, None] * gamma0.q_block * c[None, :] + s[:, None] * gamma0.p_block * s[None, :]
-    if rt is not None:
-        y += c[:, None] * rt * s[None, :]
-        y += s[:, None] * rt.T * c[None, :]
-    return y
-
-
-def _pixel_observable(gamma0: CovarianceMatrix, dg: np.ndarray, omegas: np.ndarray,
-                      t: float, quadrature: str) -> np.ndarray:
-    """G^T D Y(t) D G for dg = D G; a diagonal Y(t) scales the rows of D G
-    instead of being expanded."""
-    y = _mode_observable(gamma0, omegas, t, quadrature)
-    if y.ndim == 1:
+        c, s, r = s, c, r if r is None else -r
+    if q.ndim == 1:
+        y = c * q * c + s * p * s
         # C order, as dg.T @ diag(y) is laid out: the second product's
         # operands, and so its bits, are those of the dense route
         return np.ascontiguousarray(dg.T * y) @ dg
+    y = c[:, None] * q * c[None, :] + s[:, None] * p * s[None, :]
+    if r is not None:
+        y += c[:, None] * r * s[None, :]
+        y += s[:, None] * r.T * c[None, :]
     return dg.T @ y @ dg
 
 
@@ -179,7 +174,7 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
         raise ValueError(f"unknown quadrature {quadrature!r}")
     if not 0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)
     n_pix = basis.grid.n_pixels
     need = times.size * n_pix * n_pix * 8
     if need > _available_memory():
@@ -188,19 +183,20 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     d_phi, d_eta = _mode_prefactors(basis, derived)
     dg = (d_phi if quadrature == FIELD else d_eta)[:, None] * basis.sampled
     omegas = basis.omegas
+    q, p, r = ((*gamma0.diagonals, None) if gamma0.diagonals is not None
+               else (gamma0.q_block, gamma0.p_block, gamma0._r))
     rng = np.random.default_rng(seed)
     samples = np.empty((times.size, n_pix, n_pix))
     iu = np.triu_indices(n_pix)
     for it, t in enumerate(times):
-        m = _pixel_observable(gamma0, dg, omegas, t, quadrature)
+        m = _pixel_observable(q, p, r, dg, omegas, t, quadrature)
         m = 0.5 * (m + m.T)
         if noise_sigma > 0:
             noise = np.zeros_like(m)
             noise[iu] = rng.normal(0.0, noise_sigma, size=iu[0].size)
             m += noise + np.triu(noise, 1).T
         samples[it] = m
-    return TwoPointSeries(quadrature=quadrature, times=times, samples=samples,
-                          noise_sigma=noise_sigma, seed=seed)
+    return TwoPointSeries(quadrature=quadrature, times=times, samples=samples)
 
 
 def suggested_times(basis) -> np.ndarray:
@@ -227,11 +223,12 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     largest cond(A) over all pairs.  Raises RankDeficiencyError if any
     pair's cond(A^T A) reaches RANK_COND.
 
-    `residual_rms` takes a second pass over the samples.  The one-pass
-    identity |y - A x|^2 = y^T y - 2 x^T A^T y + x^T A^T A x, summed in the
-    A^T y loop, cannot stand in for it: its terms cancel to round-off.  On
-    the noiseless 10 x 10 Dirichlet series it came out negative, -1.1e-27,
-    a residual rms of 4.8e-18 by magnitude where the two passes give 3.2e-26.
+    `residual_rms` takes a second pass, modelling each sample from the fitted
+    (Q~, P~, R~) as synthesis does.  The one-pass identity |y - A x|^2 =
+    y^T y - 2 x^T A^T y + x^T A^T A x, summed in the A^T y loop, cannot stand
+    in for it: its terms cancel to round-off.  On the noiseless 10 x 10
+    Dirichlet series it came out negative, -1.1e-27, a residual rms of
+    4.8e-18 by magnitude where the two passes give 3.2e-26.
     """
     if series.n_pixels != basis.grid.n_pixels:
         raise ValueError("series pixel count does not match the basis grid")
@@ -294,13 +291,11 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     pt[iu, ju] = pt[ju, iu] = sol[:, 1]
     rt[iu, ju], rt[ju, iu] = sol[:, 2], sol[:, 3]
 
-    result = ReconstructionResult(qt=qt, pt=pt, rt=rt, residual_rms=0.0,
-                                  condition=float(np.sqrt(worst)),
-                                  unidentifiable_pairs=unidentifiable)
-    gamma_fit = result.gamma(basis=basis)
     sq = 0.0
     for t, sample in zip(series.times, series.samples):
-        model = _pixel_observable(gamma_fit, dg, omegas, t, series.quadrature)
+        model = _pixel_observable(qt, pt, rt, dg, omegas, t, series.quadrature)
         sq += float(np.mean((model - sample) ** 2))
-    result.residual_rms = float(np.sqrt(sq / series.n_times))
-    return result
+    return ReconstructionResult(qt=qt, pt=pt, rt=rt,
+                                residual_rms=float(np.sqrt(sq / series.n_times)),
+                                condition=float(np.sqrt(worst)),
+                                unidentifiable_pairs=unidentifiable)

@@ -161,7 +161,7 @@ def volume_sweep(grid: Grid, buffer: int = 1, include_cell_boundary: bool = True
     margin = 0 if include_cell_boundary else 1
     x_lo, x_hi = margin, grid.nx - margin
     y_lo, y_hi = margin, grid.ny - margin
-    if x_hi - x_lo < buffer + 2:
+    if x_hi - x_lo < buffer + 2 or y_hi <= y_lo:
         raise ValueError(f"grid too small for buffer {buffer}")
     pairs = []
     for divider in range(x_lo + 1, x_hi - buffer):
@@ -202,21 +202,13 @@ def area_sweep(grid: Grid, fixed_volume: int, include_cell_boundary: bool = True
     return pairs
 
 
-def evaluate_sweep(gamma, pairs: list, abscissa: str, protocol: str) -> SweepResult:
-    """Compute MI for each (A, B) pair and assemble a SweepResult.
-
-    abscissa is 'volume' (A volume in m^2) or 'perimeter' (A boundary
-    length in m).
-    """
-    if abscissa == "volume":
-        xs = [p.a.volume() for p in pairs]
-    elif abscissa == "perimeter":
-        xs = [p.a.boundary_length() for p in pairs]
-    else:
-        raise ValueError(f"unknown abscissa {abscissa!r}")
+def evaluate_sweep(gamma, pairs: list, abscissae: list, protocol: str) -> SweepResult:
+    """Compute MI for each (A, B) pair and assemble a SweepResult, with
+    `abscissae[i]` the abscissa of pair i (A's volume in m^2 for a volume
+    sweep, its boundary length in m for an area sweep)."""
     mis, route = gaussian.mutual_information_batch(gamma, [(p.a, p.b) for p in pairs])
     raw = [SweepPoint(abscissa=x, mi=mi, stats=p.a.stats(), pair=p)
-           for x, mi, p in zip(xs, mis, pairs)]
+           for x, mi, p in zip(abscissae, mis, pairs)]
 
     points = []
     for x in sorted({p.abscissa for p in raw}):
@@ -230,7 +222,7 @@ def run_volume_sweep(gamma, buffer: int = 1, include_cell_boundary: bool = True)
     pairs = volume_sweep(gamma.basis.grid, buffer=buffer,
                          include_cell_boundary=include_cell_boundary)
     tag = "full" if include_cell_boundary else "interior"
-    return evaluate_sweep(gamma, pairs, abscissa="volume",
+    return evaluate_sweep(gamma, pairs, [p.a.volume() for p in pairs],
                           protocol=f"volume_sweep/{tag}/buffer={buffer}")
 
 
@@ -239,7 +231,7 @@ def run_area_sweep(gamma, fixed_volume: int, include_cell_boundary: bool = True,
     pairs = area_sweep(gamma.basis.grid, fixed_volume,
                        include_cell_boundary=include_cell_boundary, buffer=buffer)
     tag = "full" if include_cell_boundary else "interior"
-    return evaluate_sweep(gamma, pairs, abscissa="perimeter",
+    return evaluate_sweep(gamma, pairs, [p.a.boundary_length() for p in pairs],
                           protocol=f"area_sweep/{tag}/volume={fixed_volume}")
 
 

@@ -1,8 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from thirdsound import cli
+from thirdsound import cli, fitting, regions
 from thirdsound.errors import (ConfigError, NumericalError,
                                UnphysicalCovarianceError, UnstableRobinError)
 
@@ -183,6 +184,81 @@ class TestCommands:
         assert header["n_times"] == "50"
         assert float(header["design_condition"]) < 3.0
         assert float(lines[-1].split(",")[0]) < 1e-12
+
+    def test_seed_flag_equals_config_seed(self, tmp_path):
+        # the seed draws the time subset and the noise; the flag sets it
+        # before the config hash is taken, so the files match byte for byte
+        small = BASELINE.replace("grid.nx = 8", "grid.nx = 3").replace(
+            "grid.ny = 8", "grid.ny = 3") + "reconstruct.noise_sigma = 1e-3\n"
+        seeded = small.replace("reconstruct.seed = 11", "reconstruct.seed = 5")
+        runs = {"flag": (small, ["--seed", "5"]), "config": (seeded, []),
+                "default": (small, [])}
+        text = {}
+        for name, (cfg, extra) in runs.items():
+            out = tmp_path / name
+            path = write_config(tmp_path, cfg, name=f"{name}.cfg")
+            assert cli.main(["reconstruct", "--config", path, "--out", str(out)] + extra) == 0
+            text[name] = (out / "reconstruct.csv").read_text()
+        assert text["flag"] == text["config"]
+        assert f"# config_hash={cli.config_hash(cli.parse_config(seeded))}" in text["flag"]
+        assert text["default"].splitlines()[-1] != text["flag"].splitlines()[-1]
+
+    def test_reconstruct_with_noise(self, tmp_path):
+        # sigma is relative to the mean absolute sample at the first time
+        small = BASELINE.replace("grid.nx = 8", "grid.nx = 3").replace(
+            "grid.ny = 8", "grid.ny = 3").replace("reconstruct.n_times = 40", "")
+        noisy = small + "reconstruct.noise_sigma = 1e-3\n"
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", write_config(tmp_path, noisy),
+                         "--out", str(out)]) == 0
+        lines = (out / "reconstruct.csv").read_text().splitlines()
+        header = dict(l[2:].split("=", 1) for l in lines if l.startswith("# ") and "=" in l)
+        cfg = cli.parse_config(noisy)
+        film, derived, basis = cli._film_basis(cfg)
+        gamma_modes = cli.gaussian.thermal_momentum_covariance(basis, film.temperature)
+        probe = cli.reconstruct.synth_two_point(gamma_modes, basis, derived,
+                                                cli.reconstruct.suggested_times(basis)[:1])
+        sigma = 1e-3 * float(np.mean(np.abs(probe.samples)))
+        assert header["noise_sigma_absolute"] == f"{sigma:.17g}"
+        err, rms, _ = map(float, lines[-1].split(","))
+        # the residual is the noise, less the ~2 % of its power that the
+        # 180 fitted numbers absorb from 205 x 45 noisy entries
+        assert 0.9 * sigma < rms < 1.05 * sigma
+        assert 1e-6 < err < 1e-2
+
+    def test_sweep_volume_svg(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["sweep-volume", "--config", write_config(tmp_path),
+                         "--out", str(out), "--svg"]) == 0
+        svg = (out / "sweep_volume.svg").read_text()
+        assert svg.startswith("<svg") and svg.count("<circle") == 6
+        assert "nan" not in svg
+
+    def test_fit_calabrese_svg_plots_the_prediction(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["fit-calabrese", "--config", write_config(tmp_path),
+                         "--out", str(out), "--svg"]) == 0
+        svg = (out / "fit_calabrese.svg").read_text()
+        assert svg.startswith("<svg") and svg.count("<circle") == 6
+        assert "nan" not in svg and "finite-size fit" in svg
+        sweep = regions.run_volume_sweep(cli.build_pipeline(cli.parse_config(BASELINE)))
+        fit = fitting.calabrese_fit(sweep)
+        grid = sweep.points[0].pair.a.grid
+        fr = np.array([p.stats.pixel_count for p in sweep.points]) / grid.n_pixels
+        reference = tmp_path / "reference.svg"
+        cli.write_line_svg(reference, sweep.abscissae, fit.predict(fr, grid.n_pixels),
+                           "finite-size fit", "volume (m^2)", "MI (nats)")
+        assert svg == reference.read_text()
+
+    def test_interior_sweep_on_short_grid_exit_2(self, tmp_path, capsys):
+        # 8x2 has no interior row: rejected as too small, not left to an empty selection
+        cfg = BASELINE.replace("grid.ny = 8", "grid.ny = 2").replace(
+            "sweep.include_cell_boundary = true", "sweep.include_cell_boundary = false")
+        out = tmp_path / "out"
+        assert cli.main(["sweep-volume", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: grid too small for buffer 1"]
+        assert not out.exists()
 
     def test_fit_calabrese_csv(self, tmp_path):
         out = tmp_path / "out"

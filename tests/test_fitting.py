@@ -18,7 +18,7 @@ def planted_curve(n_total=400, kappa=(2.0, 1.0, 0.5), n_points=18, noise=0.0, se
 def sweep_curve(config):
     """Pixel fractions, MI values and pixel count of a config's volume sweep."""
     cfg = cli.load_config(str(REPO / config))
-    sweep = regions.run_volume_sweep(cli.build_pipeline(cfg)[4], buffer=cfg.sweep_buffer,
+    sweep = regions.run_volume_sweep(cli.build_pipeline(cfg), buffer=cfg.sweep_buffer,
                                      include_cell_boundary=cfg.sweep_include_cell_boundary)
     n_total = cfg.grid_nx * cfg.grid_ny
     fractions = np.array([p.stats.pixel_count for p in sweep.points]) / n_total

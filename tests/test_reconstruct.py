@@ -174,7 +174,7 @@ class TestSynthesis:
             raise AssertionError("work started")
 
         monkeypatch.setattr(rc, "_available_memory", refuse)
-        monkeypatch.setattr(rc, "_mode_observable", refuse)
+        monkeypatch.setattr(rc, "_pixel_observable", refuse)
         with pytest.raises(ValueError, match="unknown quadrature 'fieldd'"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1, 0.2], quadrature="fieldd")
 
@@ -187,9 +187,24 @@ class TestSynthesis:
             raise AssertionError("work started")
 
         monkeypatch.setattr(rc, "_available_memory", refuse)
-        monkeypatch.setattr(rc, "_mode_observable", refuse)
+        monkeypatch.setattr(rc, "_pixel_observable", refuse)
         with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1], noise_sigma=sigma)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [0.1, 0.0], [0.0, np.nan],
+                                       [0.0, np.inf], [[0.0, 0.1]]])
+    def test_bad_times_raise_before_work(self, monkeypatch, times):
+        # the check TwoPointSeries makes, made before the memory preflight and the loop
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(rc, "_available_memory", refuse)
+        monkeypatch.setattr(rc, "_pixel_observable", refuse)
+        with pytest.raises(ValueError, match="sample times must be finite and strictly increasing"):
+            rc.synth_two_point(g0, basis, DERIVED, times)
 
     def test_memory_preflight_reads_available_memory(self, monkeypatch):
         # the preflight compares with what is free, which never exceeds

@@ -163,6 +163,20 @@ class TestVolumeSweep:
         with pytest.raises(ValueError):
             rg.volume_sweep(Grid(1e-3, 1e-3, 3, 3), buffer=2)
 
+    @pytest.mark.parametrize("ny", [1, 2])
+    def test_interior_sweep_without_rows_rejected(self, ny):
+        # the interior drops the first and last row, which leaves none
+        grid = Grid(5e-3, 5e-3, 8, ny)
+        assert all(p.a.pixel_count and p.b.pixel_count for p in rg.volume_sweep(grid))
+        with pytest.raises(ValueError, match="grid too small"):
+            rg.volume_sweep(grid, include_cell_boundary=False)
+
+    def test_interior_sweep_on_three_rows_keeps_one(self):
+        pairs = rg.volume_sweep(Grid(5e-3, 5e-3, 8, 3), include_cell_boundary=False)
+        assert len(pairs) == 4
+        assert all(np.array_equal(np.flatnonzero(np.any(m.pixels, axis=0)), [1])
+                   for p in pairs for m in (p.a, p.b))
+
 
 class TestAreaSweep:
     def test_rectangle_family_36_pixels(self):
