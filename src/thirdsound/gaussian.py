@@ -16,13 +16,13 @@ lattice, so neither it nor any restriction of it ever holds a 2n x 2n
 matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
 once for Q~ and P~.  On the pixel lattice it holds the mode weights a of
 Q and b of P, and each whole block is built from them, exactly symmetric,
-on its first read (``q_block``, ``p_block``, ``data``, ``restrict`` and the
-exact route).  A mutual information on the certified route never reads P,
-and reads Q only on the box of pixels its pairs use.  A certified state
-also keeps Q's axis rows, (nx + ny) n_modes numbers, and a small box is
-gathered from them as W W^T, W of shape |S| x n_modes, until the gathers
-would have cost more than building Q; a loop over small sets, such as tile
-against tile, never holds an n_pixels^2 block.
+on its first whole read.  A certified state also keeps Q's axis rows,
+(nx + ny) n_modes numbers, and each pixel set S of Q or P (``restrict``,
+a mutual information) is gathered from axis rows as W W^T, W of shape
+|S| x n_modes, until the block's gathers would have cost more than
+building it: a loop over small sets, such as tile against tile, never
+holds an n_pixels^2 block.  The certified mutual information never reads
+P, and reads Q only on the box of pixels its pairs use.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -92,6 +92,7 @@ CLASSICAL_TOL = 1e-10  # largest certified entropy error the log-det route may c
 MODE_ERROR = 1 / 12    # 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 for nu >= 1
 NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
+Q, P = "_q", "_p"   # the blocks ``CovarianceMatrix._stored`` and ``_on`` read, by attribute
 
 
 def _largest(block: np.ndarray, name: str) -> float:
@@ -165,12 +166,12 @@ class CovarianceMatrix:
                weights=None, rows=None) -> "CovarianceMatrix":
         """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
         as its vector; R only when nonzero; Q and P as None with their mode
-        weights (a, b) when each is built on its first whole read, and with
-        Q's axis rows when sets of Q are gathered from them."""
+        weights {Q: a, P: b} when each is built on its first whole read, and
+        with Q's axis rows when sets are gathered from axis rows."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
         self._q, self._p, self._weights, self._rows = q, p, weights, rows
-        self._gathered = 0   # multiply-adds the gathers from the axis rows have spent
+        self._gathered = {Q: 0, P: 0}   # multiply-adds each block's gathers have spent
         self._r = r if r is not None and r.any() else None
         for block in (q, p, self._r):
             if block is not None:
@@ -203,7 +204,7 @@ class CovarianceMatrix:
 
     @property
     def q_block(self) -> np.ndarray:
-        return _dense(self._stored_q())
+        return _dense(self._stored(Q))
 
     @property
     def r_block(self) -> np.ndarray:
@@ -211,7 +212,7 @@ class CovarianceMatrix:
 
     @property
     def p_block(self) -> np.ndarray:
-        return _dense(self._stored_p())
+        return _dense(self._stored(P))
 
     @property
     def diagonals(self):
@@ -220,48 +221,39 @@ class CovarianceMatrix:
             return self._q, self._p
         return None
 
-    def _stored_q(self) -> np.ndarray:
-        """Q as stored, built from its mode weights on the first call that needs it."""
-        if self._q is None:
-            self._q = _built(self.basis, self._weights[0])
-        return self._q
+    def _stored(self, k: str) -> np.ndarray:
+        """Block k as stored, built from its mode weights on the first call
+        that needs it."""
+        if getattr(self, k) is None:
+            setattr(self, k, self.basis.to_pixels(self._weights[k]))
+            getattr(self, k).setflags(write=False)
+        return getattr(self, k)
 
-    def _stored_p(self) -> np.ndarray:
-        """P as stored, built from its mode weights on the first call that needs it."""
-        if self._p is None:
-            self._p = _built(self.basis, self._weights[1])
-        return self._p
-
-    def _q_on(self, box: np.ndarray) -> np.ndarray:
-        """Q_S on an index set S.  While Q is unbuilt, S is gathered from the
-        axis rows as W W^T, W = X[ix_S] * Y[iy_S], for 1/2 |S| (|S| + 1) n_modes
-        multiply-adds.  The first S that would take the gathers' total past
-        nx^3 ny^2, the cost of building Q, builds it instead (ski rental: a run
-        of sets never costs more than twice the cheaper plan), and every later
-        S is gathered from the built block, or is the block when S is all."""
-        if self._q is None:
+    def _on(self, k: str, box: np.ndarray) -> np.ndarray:
+        """Block k on an index set S.  While a certified state's block is
+        unbuilt, a proper subset S is gathered as W W^T, W = X[ix_S] * Y[iy_S]
+        from Q's stored axis rows or from P's, made for the gather, for
+        1/2 |S| (|S| + 1) n_modes multiply-adds.  The first S that would take
+        the block's gathers past nx^3 ny^2, the cost of building it, builds it
+        instead (ski rental: a run of sets never costs more than twice the
+        cheaper plan); every later S is sliced from the block, or is it."""
+        if getattr(self, k) is None and self._rows is not None and box.size < self.n:
             cost = box.size * (box.size + 1) // 2 * self.basis.n_modes
-            grid = self.basis.grid
-            if self._gathered + cost <= grid.nx ** 3 * grid.ny ** 2:
-                self._gathered += cost
-                (x, y), (ix, iy) = self._rows, np.divmod(box, grid.ny)
+            if self._gathered[k] + cost <= self.n ** 2 * self.basis.grid.nx:   # nx^3 ny^2
+                self._gathered[k] += cost
+                x, y = self._rows if k == Q else self.basis.axis_rows(self._weights[P])
+                ix, iy = np.divmod(box, len(y))
                 w = y[iy]
                 starts = np.flatnonzero(np.diff(ix)) + 1
                 for run, i in zip(np.split(w, starts), ix[np.r_[0, starts]]):
                     run *= x[i]   # in place: one |S| x n_modes array at a time
                 return w @ w.T   # syrk, exactly symmetric
-        q = self._stored_q()
-        return q if box.size == self.n else q[np.ix_(box, box)]
+        block = self._stored(k)
+        return block if box.size == self.n else block[np.ix_(*[box] * block.ndim)]
 
     def __repr__(self):
         return (f"CovarianceMatrix(n={self.n}, labelling={self.labelling!r}, "
                 f"nulls={self.structural_nulls})")
-
-
-def _built(basis, weights: np.ndarray) -> np.ndarray:
-    block = basis.to_pixels(weights)
-    block.setflags(write=False)
-    return block
 
 
 @dataclass(frozen=True)
@@ -311,7 +303,7 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
         floor, spread = ((math.sqrt(a.min() * b.min()), b.max() / b.min() - 1.0)
                          if flat_only and min(a.min(), b.min()) > 0 else (None, None))
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-            None, None, None, REAL, basis, floor, spread, (a, b),
+            None, None, None, REAL, basis, floor, spread, {Q: a, P: b},
             None if floor is None else basis.axis_rows(a))
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
@@ -418,12 +410,10 @@ def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
 
 
 def _selector_indices(gamma: CovarianceMatrix, selector) -> np.ndarray:
-    if hasattr(selector, "indices"):   # RegionMask-like
-        if gamma.labelling != REAL:
-            raise ValueError("pixel masks select from real-space covariances only")
-        idx = np.asarray(selector.indices(), dtype=int)
-    else:
-        idx = np.asarray(selector, dtype=int)
+    mask = hasattr(selector, "indices")   # RegionMask-like
+    if mask and gamma.labelling != REAL:
+        raise ValueError("pixel masks select from real-space covariances only")
+    idx = np.asarray(selector.indices() if mask else selector, dtype=int)
     if idx.size == 0:
         raise ValueError("cannot restrict to an empty selection")
     idx = np.sort(idx)
@@ -438,13 +428,13 @@ def restrict(gamma: CovarianceMatrix, selector) -> CovarianceMatrix:
     """Partial trace: keep rows/columns of the selected degrees of freedom.
 
     `selector` is a pixel mask (real-space labelling) or a plain index
-    array into the n degrees of freedom (either labelling).
-    """
+    array into the n degrees of freedom (either labelling), each block
+    read by ``CovarianceMatrix._on`` and R_S sliced."""
     idx = _selector_indices(gamma, selector)
-    q, p, r = (None if m is None else m[idx] if m.ndim == 1 else m[np.ix_(idx, idx)]
-               for m in (gamma._stored_q(), gamma._stored_p(), gamma._r))
+    r = None if gamma._r is None else gamma._r[np.ix_(idx, idx)]
     return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-        q, p, r, gamma.labelling, gamma.basis, gamma.nu_floor, gamma.p_spread)
+        gamma._on(Q, idx), gamma._on(P, idx), r, gamma.labelling, gamma.basis,
+        gamma.nu_floor, gamma.p_spread)
 
 
 class EntropyRoute(NamedTuple):
@@ -467,36 +457,41 @@ class _LogDets:
     less sum_i (1 + 1/2 ln Q_ii + 1/2 ln min b), which cancels in any mutual
     information: log-dets of Q's correlation matrices, small enough to keep
     their digits, plus P's closed-form share 1/2 ln det Pi_S (module
-    docstring).  Q on the box, M, is gathered from Q's axis rows while that
-    costs less than building Q, else from the built block (``_q_on``).  A
-    set of at most half the box is factored on its own; the whole box is M's
-    log-det, and any larger set, with complement C, is det M det((M^-1)_CC)
-    from one inverse built on first use, unless the box holds structural
-    nulls."""
+    docstring), Q on the box read by ``_on``.  A set of at most half the box
+    is factored on its own; the whole box is M's log-det, and a larger set,
+    with complement C, is det M det X_CC from one X = M^-1 built on first
+    use.  M is Q, but Q + c u u^T on a whole lattice whose Q u = 0, u flat,
+    c the mean of Q's diagonal: M^-1 u = u / c, and the determinant lemma
+    adds u_C^T X_CC^-1 u_C / c (Sherman & Morrison, Ann. Math. Stat. 21,
+    124 (1950))."""
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
-        self.box, self.q = box, gamma._q_on(box)
+        self.box, self.q = box, gamma._on(Q, box)
         self.diag = np.diagonal(self.q)
-        self.singular = box.size == gamma.n and gamma.structural_nulls > 0
         n_pixels = gamma.basis.grid.n_pixels
         self.flat = (gamma.basis.n_modes < n_pixels) / n_pixels   # 1/N without the flat mode
+        self.lift = float(self.diag.mean()) if box.size == gamma.n and gamma.structural_nulls else 0.0
+        self.m = self.q + self.lift / box.size if self.lift else self.q   # c u u^T is c / n
         self.whole = self.inverse = None
 
     def reduced(self, idx: np.ndarray) -> float:
         pos = np.searchsorted(self.box, idx)
         k, n = pos.size, self.box.size
         p_share = 0.5 * math.log1p(-k * self.flat)
-        if 2 * k <= n or self.singular:
+        if 2 * k <= n:
             return p_share + _reduced_log_det(self.q[np.ix_(pos, pos)], self.diag[pos])
         if self.whole is None:
-            self.whole = _reduced_log_det(self.q, self.diag)
+            self.whole = _reduced_log_det(self.m, self.diag)
         if k == n:
             return p_share + self.whole
         if self.inverse is None:
-            self.inverse = np.linalg.inv(self.q)
+            self.inverse = np.linalg.inv(self.m)
         rest = np.setdiff1d(np.arange(n), pos, assume_unique=True)
-        return p_share + self.whole + _reduced_log_det(self.inverse[np.ix_(rest, rest)],
-                                                       1.0 / self.diag[rest])
+        x = self.inverse[np.ix_(rest, rest)]
+        out = p_share + self.whole + _reduced_log_det(x, 1.0 / self.diag[rest])
+        if self.lift:   # u_C^T X_CC^-1 u_C / c, with u = 1 / sqrt(n)
+            out += 0.5 * math.log(np.linalg.solve(x, np.ones(rest.size)).sum() / (n * self.lift))
+        return out
 
 
 def _reduced_log_det(m: np.ndarray, diag: np.ndarray) -> float:

@@ -11,8 +11,10 @@ A and B never touch.
 Each protocol hands all its pairs to ``gaussian.mutual_information_batch``,
 which reads a certified state's Q block on the pixels the pairs use, the
 box.  A set of at most half the box is factored on its own, and a larger
-one (A u B, an area-sweep B, the rest of the map's interior) is read from
-the box's one inverse, except on a whole Neumann lattice, which is singular.
+one (A u B, an area-sweep B, the rest of the map's interior) is read
+through its complement from the box's one inverse; on a whole Neumann
+lattice, whose Q is singular, that is the inverse of Q lifted along its
+flat null vector.
 """
 
 from __future__ import annotations
@@ -236,9 +238,11 @@ def run_area_sweep(gamma, fixed_volume: int, include_cell_boundary: bool = True,
 
 
 def _interior(grid: Grid) -> np.ndarray:
-    if grid.nx < 3 or grid.ny < 3:
-        raise ValueError("mi_map needs a grid of at least 3x3 pixels")
-    return RegionMask.from_columns(grid, 1, grid.nx - 1, 1, grid.ny - 1).indices()
+    interior = RegionMask.from_columns(grid, 1, grid.nx - 1, 1, grid.ny - 1).indices()
+    if interior.size < 2:
+        raise ValueError(f"mi_map needs an interior of at least two pixels; "
+                         f"the {grid.nx}x{grid.ny} grid has {interior.size}")
+    return interior
 
 
 def mi_map(gamma) -> np.ndarray:

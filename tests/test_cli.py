@@ -260,6 +260,16 @@ class TestCommands:
         assert capsys.readouterr().err.splitlines() == ["error: grid too small for buffer 1"]
         assert not out.exists()
 
+    def test_mi_map_on_3x3_grid_exit_2(self, tmp_path, capsys):
+        # a 3x3 grid's interior is one pixel: rejected, not left to an empty selection
+        cfg = BASELINE.replace("grid.nx = 8", "grid.nx = 3").replace("grid.ny = 8", "grid.ny = 3")
+        out = tmp_path / "out"
+        assert cli.main(["mi-map", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mi_map needs an interior of at least two pixels; the 3x3 grid has 1"]
+        assert not out.exists()
+
     def test_fit_calabrese_csv(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["fit-calabrese", "--config", write_config(tmp_path),

@@ -329,13 +329,20 @@ class TestChecksRunWhereStatesEnter:
 
     @pytest.mark.parametrize("state", ["thermal", "squeezed"])
     def test_restrict_stores_read_only_gathers(self, state):
+        # a thermal state's unbuilt Q and P are gathered from axis rows, to
+        # round-off of the built slice; once built, every set is sliced
         gr = self.real_state(state)
         idx = np.array([5, 0, 9, 2])
-        sub = ga.restrict(gr, idx)
+        first = ga.restrict(gr, idx)
         cut = np.ix_(np.sort(idx), np.sort(idx))
-        blocks = [(sub.q_block, gr.q_block), (sub.p_block, gr.p_block)]
+        parents = [gr.q_block, gr.p_block]
+        sub = ga.restrict(gr, idx)
+        blocks = [(sub.q_block, parents[0]), (sub.p_block, parents[1])]
         if state == "thermal":
-            assert gr._r is None and sub._r is None
+            assert gr._r is None and sub._r is None and first._r is None
+            for got, parent in zip((first.q_block, first.p_block), parents):
+                assert np.max(np.abs(got - parent[cut])) <= 1e-14 * np.max(np.abs(parent))
+                assert not got.flags.writeable
         else:
             blocks.append((sub._r, gr._r))
         for got, parent in blocks:
@@ -383,7 +390,7 @@ class TestStateStorage:
         mi_map(gr)
         assert {route.name for route in routes} == {"classical"}
         assert len(weights) == 1 and self.square_arrays(gr, gr.n) == ["_q"]   # Q, once
-        assert weights[0] is gr._weights[0]
+        assert weights[0] is gr._weights[ga.Q]
 
         d_eta = ga._mode_prefactors(basis, DERIVED)[1]
         b = d_eta * gm.diagonals[1] * d_eta
@@ -454,14 +461,14 @@ class TestQGather:
         gr = ga.to_real_space(gm, basis, DERIVED)
         rng = np.random.default_rng(3)
         boxes = [np.sort(rng.choice(gr.n, 10, replace=False)) for _ in range(14)]
-        gathered = [gr._q_on(box) for box in boxes[:9]]
+        gathered = [gr._on(ga.Q, box) for box in boxes[:9]]
         assert built == []
         assert all(np.array_equal(q, q.T) for q in gathered)   # syrk
-        gr._q_on(boxes[9])
+        gr._on(ga.Q, boxes[9])
         assert len(built) == 1
         q = gr.q_block
         for box in boxes[9:]:
-            assert gr._q_on(box).tobytes() == q[np.ix_(box, box)].tobytes()
+            assert gr._on(ga.Q, box).tobytes() == q[np.ix_(box, box)].tobytes()
         assert len(built) == 1
         for box, got in zip(boxes, gathered):
             assert np.max(np.abs(got - q[np.ix_(box, box)])) <= 1e-14 * np.max(q)
@@ -472,9 +479,52 @@ class TestQGather:
         gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
         idx = (np.arange(gr.n) if box == "whole" else
                RegionMask.from_columns(basis.grid, 1, 7, 1, 7).indices())
-        got = gr._q_on(idx)
+        got = gr._on(ga.Q, idx)
         assert len(built) == 1
         assert got.tobytes() == gr.q_block[np.ix_(idx, idx)].tobytes()
+
+
+class TestRestrictGathers:
+    """``restrict`` reads Q_S and P_S as every pixel set is read: gathered
+    from axis rows while that costs less than building the block."""
+
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_small_restriction_builds_no_block(self, built, spec):
+        basis = film_basis(24, 24, spec)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        gr = ga.to_real_space(gm, basis, DERIVED)
+        idx = RegionMask.from_rect(basis.grid, 10, 10, 3, 3).indices()
+        tracemalloc.start()
+        try:
+            got = ga.von_neumann_entropy(ga.restrict(gr, idx))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert peak < 0.25 * basis.grid.n_pixels ** 2 * 8
+        dense = ga.to_real_space(gm, basis, DERIVED)
+        dense.q_block, dense.p_block   # built first: the set is sliced from them
+        assert got == pytest.approx(ga.von_neumann_entropy(ga.restrict(dense, idx)), abs=1e-12)
+
+    def test_p_gathers_past_the_budget_build_p_once(self, built):
+        # 24 x 24: building P costs 24^5 = 7,962,624 multiply-adds, a
+        # 100-pixel gather 5,050 * 576 = 2,908,800, so two gather and the
+        # third builds
+        basis = film_basis(24, 24)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        rng = np.random.default_rng(5)
+        boxes = [np.sort(rng.choice(gr.n, 100, replace=False)) for _ in range(5)]
+        gathered = [gr._on(ga.P, box) for box in boxes[:2]]
+        assert built == []
+        sliced = [gr._on(ga.P, box) for box in boxes[2:]]
+        assert len(built) == 1 and built[0] is gr._weights[ga.P] and gr._q is None
+        p = gr.p_block
+        for box, got in zip(boxes[2:], sliced):
+            assert got.tobytes() == p[np.ix_(box, box)].tobytes()
+        for box, got in zip(boxes, gathered):
+            assert np.max(np.abs(got - p[np.ix_(box, box)])) <= 1e-14 * np.max(p)
+        assert len(built) == 1
 
 
 class TestSymplecticSpectrum:
@@ -599,10 +649,14 @@ class TestRestrict:
         assert np.array_equal(sub.data, self.gr.data)
 
     def test_single_pixel_block(self):
-        sub = ga.restrict(self.gr, np.array([5]))
+        gathered = ga.restrict(self.gr, np.array([5]))   # Q and P still unbuilt
         n = self.gr.n
         expected = np.array([[self.gr.data[5, 5], self.gr.data[5, n + 5]],
                              [self.gr.data[n + 5, 5], self.gr.data[n + 5, n + 5]]])
+        assert gathered.data[0, 1] == gathered.data[1, 0] == expected[0, 1] == 0.0
+        for i, block in enumerate((self.gr.q_block, self.gr.p_block)):
+            assert abs(gathered.data[i, i] - expected[i, i]) <= 1e-14 * np.max(np.abs(block))
+        sub = ga.restrict(self.gr, np.array([5]))   # sliced from the built blocks
         assert np.array_equal(sub.data, expected)
 
     def test_union_contains_marginals_as_principal_blocks(self):
@@ -801,9 +855,11 @@ class TestCertifiedClassicalRoute:
         # each factor and inverse of a classical batch is of a principal
         # submatrix of Q or of the box inverse, never of P: small sets, the
         # whole box and sets larger than half of it, on the whole lattice
-        # (singular on Neumann) and on the lattice less one pixel
+        # and on the lattice less one pixel; the whole Neumann lattice, whose
+        # Q is singular, inverts Q lifted along its flat null vector instead
         gr = self.thermal(spec, 0.3, 7, 5)
         n, q = gr.n, gr.q_block
+        lifted = q + np.mean(np.diagonal(q)) / n if spec.kind.value == "neumann" else q
         factored, inverted, inverses = [], [], []
         cholesky, inv = ga._cholesky, np.linalg.inv
         monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m) or cholesky(m))
@@ -814,10 +870,10 @@ class TestCertifiedClassicalRoute:
             pairs += [(box[k:k + 1], np.delete(box, k)) for k in range(box.size) if box[0]]
             mis, route = ga.mutual_information_batch(gr, pairs)
             assert route.name == "classical" and np.all(mis > 0)
-        assert all(self.is_principal(m, q) for m in inverted)
+        assert all(self.is_principal(m, q) or self.is_principal(m, lifted) for m in inverted)
         for m in factored:
-            assert any(self.is_principal(m, r) for r in [q] + inverses), m.shape
-        assert len(inverted) == 1 + (spec.kind.value != "neumann")
+            assert any(self.is_principal(m, r) for r in [q, lifted] + inverses), m.shape
+        assert len(inverted) == 2
         assert sum(not self.is_principal(m, q) for m in factored) >= n - 3
 
     def test_neumann_lattice_minus_one_pixel(self):

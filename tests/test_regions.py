@@ -248,10 +248,12 @@ class TestMiMap:
         assert np.allclose(interior, interior.T, atol=1e-8)
 
     def test_small_grid_rejected(self):
-        grid = Grid(1e-3, 1e-3, 2, 2)
-        gamma = thermal_state(grid, BoundarySpec.dirichlet())
-        with pytest.raises(ValueError):
-            rg.mi_map(gamma)
+        # 2x2 has no interior; 3x3 has one pixel, with nothing to pair it with
+        for n, interior in ((2, 0), (3, 1)):
+            gamma = thermal_state(Grid(1e-3, 1e-3, n, n), BoundarySpec.dirichlet())
+            with pytest.raises(ValueError, match=f"^mi_map needs an interior of at least two "
+                                                 f"pixels; the {n}x{n} grid has {interior}$"):
+                rg.mi_map(gamma)
 
 
 def exact_mi(gamma, a, b):
@@ -320,6 +322,27 @@ class TestEntropyRoutes:
         for p in interior:
             want = exact_mi(gamma, [p], interior[interior != p])
             assert field.ravel()[p] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
+    def test_whole_neumann_lattice_reads_large_sets_through_complements(
+            self, shape, spectra, monkeypatch):
+        # the box is the whole lattice, whose Q is singular: the one whole-box
+        # factor is of Q lifted along its flat null vector, and every set
+        # larger than half the box is read through its complement
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), BoundarySpec.neumann())
+        factored = []
+        cholesky = ga._cholesky
+        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m.shape[0]) or cholesky(m))
+        sweeps = [rg.run_volume_sweep(gamma), rg.run_area_sweep(gamma, 36)]
+        n = gamma.n
+        for sweep in sweeps:
+            assert sweep.route.name == "classical"
+        assert spectra == [] and factored.count(n) == 2   # one whole box per sweep
+        assert all(size <= n // 2 for size in factored if size != n)
+        for sweep in sweeps:
+            for point in sweep.raw_points:
+                assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
+                                                 abs=1e-10)
 
     @pytest.mark.parametrize("state", ["zero-temperature", "public-constructor", "squeezed"])
     def test_uncertified_states_take_exact_route(self, state, spectra):
