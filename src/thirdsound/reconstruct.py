@@ -48,10 +48,17 @@ pairs are reported in `unidentifiable_pairs`; a pair whose A^T A has a
 condition number of at least RANK_COND (cond(A) >= 1e6) is rank deficient.
 The residual models each sample from the fitted blocks themselves, through
 the same pixel observable that synthesis evaluates.
+
+A sample is symmetric, so a series keeps only its upper triangle: one row
+of n_pix (n_pix + 1) / 2 entries per time, in np.triu_indices(n_pix) order.
+On a diagonal state with R~ = 0, synthesis writes each pixel row i of every
+sample with one product of the (n_times, n_modes) weights y(t) with
+dg[:, i] dg[:, j >= i]; the fit unpacks one sample at a time.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -71,6 +78,8 @@ RANK_COND = 1e12         # cond(A^T A) at which a pair's design counts as rank d
 NYQUIST_FACTOR = 4.0     # dt <= pi / (NYQUIST_FACTOR * w_max)
 SPAN_CYCLES = 2.0        # span in periods of the smallest nonzero frequency gap
 
+_CHUNK_BYTES = 1 << 20    # bytes of samples checked or drawn, or of phases, per step
+
 
 def _checked_times(times) -> np.ndarray:
     """Sample times as floats; raises unless they are finite and strictly increasing."""
@@ -80,27 +89,71 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-@dataclass
+def _finite_scale(block: np.ndarray) -> float:
+    """Largest absolute entry; raises unless every entry is finite."""
+    scale = max(block.max(), -block.min())   # NaN or inf anywhere shows here
+    if not np.isfinite(scale):
+        raise ValueError("two-point samples must be finite")
+    return float(scale)
+
+
+def _unpack_index(n_pix: int) -> np.ndarray:
+    """Packed position of each entry (i, j) of an n_pix x n_pix sample, in
+    row-major order."""
+    index = np.empty((n_pix, n_pix), dtype=np.intp)
+    iu = np.triu_indices(n_pix)
+    index[iu] = index.T[iu] = np.arange(iu[0].size)
+    return index.ravel()
+
+
+def _rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes in one step of _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // max(1, row_bytes))
+
+
 class TwoPointSeries:
-    """Time-stamped equal-time two-point samples of one quadrature."""
+    """Time-stamped equal-time two-point samples of one quadrature.
 
-    quadrature: str
-    times: np.ndarray
-    samples: np.ndarray          # (n_times, n_pix, n_pix), symmetric to 1e-12 relative
+    Takes full samples, (n_times, n_pix, n_pix), each symmetric to 1e-12
+    of the largest entry, and keeps only their upper triangles: `packed`
+    holds one read-only row of n_pix (n_pix + 1) / 2 entries per time, in
+    np.triu_indices(n_pix) order.  `samples` unpacks them into a new full
+    array on each read.
+    """
 
-    def __post_init__(self):
-        self.times = _checked_times(self.times)
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.quadrature not in (FIELD, MOMENTUM_QUADRATURE):
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.samples.ndim != 3 or self.samples.shape[0] != self.times.size:
-            raise ValueError("one sample matrix per time stamp required")
-        scale = max(self.samples.max(), -self.samples.min())   # NaN or inf anywhere shows here
-        if not np.isfinite(scale):
-            raise ValueError("two-point samples must be finite")
-        skew = max(np.max(np.abs(s - s.T)) for s in self.samples)
+    def __init__(self, quadrature: str, times, samples):
+        times = _checked_times(times)
+        samples = np.asarray(samples, dtype=float)
+        if quadrature not in (FIELD, MOMENTUM_QUADRATURE):
+            raise ValueError(f"unknown quadrature {quadrature!r}")
+        if (samples.ndim != 3 or samples.shape[0] != times.size
+                or samples.shape[1] != samples.shape[2]):
+            raise ValueError("one square sample matrix per time stamp required")
+        # one sweep over chunks of samples for both the scale and the skew
+        chunk = _rows(samples.itemsize * samples.shape[1] ** 2)
+        scale = skew = 0.0
+        for lo in range(0, times.size, chunk):
+            block = samples[lo:lo + chunk]
+            scale = max(scale, _finite_scale(block))
+            skew = max(skew, float(np.max(np.abs(block - block.transpose(0, 2, 1)))))
         if skew > 1e-12 * scale:
             raise ValueError("two-point samples must be symmetric to 1e-12 relative")
+        iu, ju = np.triu_indices(samples.shape[1])
+        self._keep(quadrature, times, samples[:, iu, ju])
+
+    @classmethod
+    def _from_packed(cls, quadrature: str, times: np.ndarray,
+                     packed: np.ndarray) -> "TwoPointSeries":
+        """A series of checked times and packed rows, symmetric by
+        construction, so only their finiteness is checked."""
+        _finite_scale(packed)
+        series = cls.__new__(cls)
+        series._keep(quadrature, times, packed)
+        return series
+
+    def _keep(self, quadrature, times, packed):
+        packed.setflags(write=False)
+        self.quadrature, self.times, self.packed = quadrature, times, packed
 
     @property
     def n_times(self) -> int:
@@ -108,7 +161,13 @@ class TwoPointSeries:
 
     @property
     def n_pixels(self) -> int:
-        return self.samples.shape[1]
+        return (math.isqrt(8 * self.packed.shape[1] + 1) - 1) // 2
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The full samples, (n_times, n_pix, n_pix), built anew on each read."""
+        n = self.n_pixels
+        return np.take(self.packed, _unpack_index(n), axis=1).reshape(self.n_times, n, n)
 
 
 @dataclass
@@ -124,21 +183,23 @@ class ReconstructionResult:
         return CovarianceMatrix.from_blocks(self.qt, self.pt, self.rt, MOMENTUM)
 
 
+def _phases(omegas: np.ndarray, times: np.ndarray, quadrature: str):
+    """cos(w_m t) and sin(w_m t), (n_times, n_modes), swapped for the
+    momentum quadrature as in `_pixel_observable`."""
+    phase = np.outer(times, omegas)
+    c, s = np.cos(phase), np.sin(phase)
+    return (c, s) if quadrature == FIELD else (s, c)
+
+
 def _pixel_observable(q, p, r, dg: np.ndarray, omegas: np.ndarray, t: float,
                       quadrature: str) -> np.ndarray:
     """G^T D Y(t) D G for dg = D G, with Y(t) the mode-space observable of the
-    blocks (Q~, P~, R~), r=None for R~ = 0.  Vector q and p (a diagonal state
-    with R~ = 0) make Y(t) diagonal: it scales the rows of D G, never expanded."""
+    blocks (Q~, P~, R~), r=None for R~ = 0."""
     c, s = np.cos(omegas * t), np.sin(omegas * t)
     if quadrature != FIELD:
         # the momentum model is the field model with cos and sin swapped
         # and R~ negated
         c, s, r = s, c, r if r is None else -r
-    if q.ndim == 1:
-        y = c * q * c + s * p * s
-        # C order, as dg.T @ diag(y) is laid out: the second product's
-        # operands, and so its bits, are those of the dense route
-        return np.ascontiguousarray(dg.T * y) @ dg
     y = c[:, None] * q * c[None, :] + s[:, None] * p * s[None, :]
     if r is not None:
         y += c[:, None] * r * s[None, :]
@@ -163,8 +224,10 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     i.i.d. Gaussian noise on each independent matrix entry.
 
     The t-th sample equals the corresponding block of the freely evolved
-    covariance transformed to the pixel lattice.  A sample array larger
-    than available memory raises ValueError before anything is allocated.
+    covariance transformed to the pixel lattice; the noise is drawn for
+    each sample's upper triangle, in np.triu_indices order.  Packed samples
+    larger than available memory raise ValueError before anything is
+    allocated.
     """
     if gamma0.labelling != MOMENTUM:
         raise ValueError("synthesis starts from a momentum-space covariance")
@@ -176,27 +239,40 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     times = _checked_times(times)
     n_pix = basis.grid.n_pixels
-    need = times.size * n_pix * n_pix * 8
+    n_pairs = n_pix * (n_pix + 1) // 2
+    need = times.size * n_pairs * 8
     if need > _available_memory():
         raise ValueError(f"{times.size} samples of {n_pix}x{n_pix} pixels need {need} bytes, "
                          "more than the available memory")
     d_phi, d_eta = _mode_prefactors(basis, derived)
     dg = (d_phi if quadrature == FIELD else d_eta)[:, None] * basis.sampled
     omegas = basis.omegas
-    q, p, r = ((*gamma0.diagonals, None) if gamma0.diagonals is not None
-               else (gamma0.q_block, gamma0.p_block, gamma0._r))
-    rng = np.random.default_rng(seed)
-    samples = np.empty((times.size, n_pix, n_pix))
-    iu = np.triu_indices(n_pix)
-    for it, t in enumerate(times):
-        m = _pixel_observable(q, p, r, dg, omegas, t, quadrature)
-        m = 0.5 * (m + m.T)
-        if noise_sigma > 0:
-            noise = np.zeros_like(m)
-            noise[iu] = rng.normal(0.0, noise_sigma, size=iu[0].size)
-            m += noise + np.triu(noise, 1).T
-        samples[it] = m
-    return TwoPointSeries(quadrature=quadrature, times=times, samples=samples)
+    packed = np.empty((times.size, n_pairs))
+    if gamma0.diagonals is not None:
+        c, s = _phases(omegas, times, quadrature)
+        q, p = gamma0.diagonals
+        y = c * q * c + s * p * s      # (n_times, n_modes): Y(t) = diag(y(t))
+        del c, s                       # not held beside the samples
+        start = 0
+        for i in range(n_pix):
+            # entries (i, j >= i) of every sample: sum_m y_m(t) dg[m, i] dg[m, j]
+            packed[:, start:start + n_pix - i] = y @ (dg[:, i:i + 1] * dg[:, i:])
+            start += n_pix - i
+    else:
+        q, p, r = gamma0.q_block, gamma0.p_block, gamma0._r
+        iu, ju = np.triu_indices(n_pix)
+        for row, t in zip(packed, times):
+            m = _pixel_observable(q, p, r, dg, omegas, t, quadrature)
+            row[:] = 0.5 * (m[iu, ju] + m[ju, iu])
+    if noise_sigma > 0:
+        # drawn a chunk of samples at a time: the same stream, in the same
+        # order, as one draw of (n_times, n_pairs)
+        rng = np.random.default_rng(seed)
+        chunk = _rows(8 * n_pairs)
+        for lo in range(0, times.size, chunk):
+            block = packed[lo:lo + chunk]
+            block += rng.normal(0.0, noise_sigma, block.shape)
+    return TwoPointSeries._from_packed(quadrature, times, packed)
 
 
 def suggested_times(basis) -> np.ndarray:
@@ -227,42 +303,50 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     (Q~, P~, R~) as synthesis does.  The one-pass identity |y - A x|^2 =
     y^T y - 2 x^T A^T y + x^T A^T A x, summed in the A^T y loop, cannot stand
     in for it: its terms cancel to round-off.  On the noiseless 10 x 10
-    Dirichlet series it came out negative, -1.1e-27, a residual rms of
-    4.8e-18 by magnitude where the two passes give 3.2e-26.
+    Dirichlet series it came out negative, -1.2e-27, a residual rms of
+    4.9e-18 by magnitude where the two passes give 3.4e-26.
     """
     if series.n_pixels != basis.grid.n_pixels:
         raise ValueError("series pixel count does not match the basis grid")
     field_quadrature = series.quadrature == FIELD
     d, d_inv = _mode_prefactors(basis, derived)
+    if not field_quadrature:   # swap D and D^-1 (and cos and sin); R~ is negated below
+        d, d_inv = d_inv, d
     omegas = basis.omegas
     n = basis.n_modes
-    phase = np.outer(series.times, omegas)                  # (nt, n)
-    cos_t, sin_t = np.cos(phase), np.sin(phase)
-    if not field_quadrature:   # swap cos and sin, D and D^-1; R~ is negated below
-        cos_t, sin_t, d, d_inv = sin_t, cos_t, d_inv, d
     g = basis.sampled
     dg, g_d = d[:, None] * g, d_inv[:, None] * g
+    n_pix, times = series.n_pixels, series.times
+    unpack = _unpack_index(n_pix)
 
-    # gram[m, n, i, j] = sum_t f_i f_j over the columns
-    # f = (c_m c_n, s_m s_n, c_m s_n, s_m c_n)
-    c2, s2, cs = cos_t ** 2, sin_t ** 2, cos_t * sin_t
-    cc, ss, xx = c2.T @ c2, s2.T @ s2, cs.T @ cs
-    c_s, c_x, x_s = c2.T @ s2, c2.T @ cs, cs.T @ s2
+    # Gram sums such as (C^2)^T C^2 over the columns f = (c_m c_n, s_m s_n,
+    # c_m s_n, s_m c_n), a chunk of times at a time, and right-hand sides
+    # sum_t f_i Y_mn from Y(t) = D^-1 G M(t) G^T D^-1, one sample at a time,
+    # symmetrised because the (m, n) and (n, m) rows coincide
+    cc, ss, xx, c_s, c_x, x_s = np.zeros((6, n, n))
+    b_cc, b_ss, b_cs = np.zeros((3, n, n))
+    chunk = _rows(8 * n)
+    for lo in range(0, times.size, chunk):
+        cos_t, sin_t = _phases(omegas, times[lo:lo + chunk], series.quadrature)
+        c2, s2, cs = cos_t * cos_t, sin_t * sin_t, cos_t * sin_t
+        cc += c2.T @ c2
+        ss += s2.T @ s2
+        xx += cs.T @ cs
+        c_s += c2.T @ s2
+        c_x += c2.T @ cs
+        x_s += cs.T @ s2
+        for row, c, s in zip(series.packed[lo:lo + chunk], cos_t, sin_t):
+            y = g_d @ np.take(row, unpack).reshape(n_pix, n_pix) @ g_d.T
+            y = 0.5 * (y + y.T)
+            cy, sy = c[:, None] * y, s[:, None] * y
+            b_cc += cy * c
+            b_ss += sy * s
+            b_cs += cy * s
+    # gram[m, n, i, j] = sum_t f_i f_j
     gram = np.stack([np.stack([cc, xx, c_x, c_x.T], -1),
                      np.stack([xx, ss, x_s, x_s.T], -1),
                      np.stack([c_x, x_s, c_s, xx], -1),
                      np.stack([c_x.T, x_s.T, xx, c_s.T], -1)], -2)
-
-    # right-hand sides sum_t f_i Y_mn from Y(t) = D^-1 G M(t) G^T D^-1,
-    # symmetrised because the (m, n) and (n, m) rows coincide
-    b_cc, b_ss, b_cs = np.zeros((3, n, n))
-    for sample, c, s in zip(series.samples, cos_t, sin_t):
-        y = g_d @ sample @ g_d.T
-        y = 0.5 * (y + y.T)
-        cy, sy = c[:, None] * y, s[:, None] * y
-        b_cc += cy * c
-        b_ss += sy * s
-        b_cs += cy * s
     rhs = np.stack([b_cc, b_ss, b_cs, b_cs.T], -1)
 
     iu, ju = np.triu_indices(n)
@@ -292,9 +376,9 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     rt[iu, ju], rt[ju, iu] = sol[:, 2], sol[:, 3]
 
     sq = 0.0
-    for t, sample in zip(series.times, series.samples):
+    for t, row in zip(times, series.packed):
         model = _pixel_observable(qt, pt, rt, dg, omegas, t, series.quadrature)
-        sq += float(np.mean((model - sample) ** 2))
+        sq += float(np.mean((model - np.take(row, unpack).reshape(n_pix, n_pix)) ** 2))
     return ReconstructionResult(qt=qt, pt=pt, rt=rt,
                                 residual_rms=float(np.sqrt(sq / series.n_times)),
                                 condition=float(np.sqrt(worst)),

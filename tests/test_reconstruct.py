@@ -137,7 +137,8 @@ class TestSynthesis:
         assert np.allclose(s1.samples, np.transpose(s1.samples, (0, 2, 1)))
 
     def test_memory_preflight_raises_before_allocating(self, monkeypatch):
-        # 10^6 samples of 400 x 400 doubles need 1.28e12 bytes (1.2 TiB)
+        # 10^6 samples of 400 x 400 pixels, 80,200 packed doubles each,
+        # need 6.416e11 bytes (0.58 TiB)
         basis = film_basis(20, 20)
         g0 = ga.thermal_momentum_covariance(basis, 0.3)
         times = np.arange(1e6)
@@ -146,7 +147,7 @@ class TestSynthesis:
             raise AssertionError("sample array allocated")
 
         monkeypatch.setattr(rc.np, "empty", refuse)
-        with pytest.raises(ValueError, match="1280000000000 bytes"):
+        with pytest.raises(ValueError, match="641600000000 bytes"):
             rc.synth_two_point(g0, basis, DERIVED, times)
 
     def test_r_free_state_reads_no_r_block(self, monkeypatch):
@@ -175,6 +176,7 @@ class TestSynthesis:
 
         monkeypatch.setattr(rc, "_available_memory", refuse)
         monkeypatch.setattr(rc, "_pixel_observable", refuse)
+        monkeypatch.setattr(rc.np, "empty", refuse)
         with pytest.raises(ValueError, match="unknown quadrature 'fieldd'"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1, 0.2], quadrature="fieldd")
 
@@ -188,6 +190,7 @@ class TestSynthesis:
 
         monkeypatch.setattr(rc, "_available_memory", refuse)
         monkeypatch.setattr(rc, "_pixel_observable", refuse)
+        monkeypatch.setattr(rc.np, "empty", refuse)
         with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1], noise_sigma=sigma)
 
@@ -203,18 +206,20 @@ class TestSynthesis:
 
         monkeypatch.setattr(rc, "_available_memory", refuse)
         monkeypatch.setattr(rc, "_pixel_observable", refuse)
+        monkeypatch.setattr(rc.np, "empty", refuse)
         with pytest.raises(ValueError, match="sample times must be finite and strictly increasing"):
             rc.synth_two_point(g0, basis, DERIVED, times)
 
     def test_memory_preflight_reads_available_memory(self, monkeypatch):
         # the preflight compares with what is free, which never exceeds
-        # physical memory; 2 samples of 9 pixels need 1296 bytes
+        # physical memory; 2 samples of 9 pixels, 45 packed doubles each,
+        # need 720 bytes, one more than the 719 available
         physical = rc.os.sysconf("SC_PAGE_SIZE") * rc.os.sysconf("SC_PHYS_PAGES")
         assert 0 < rc._available_memory() <= physical
         basis = film_basis(3, 3)
         g0 = ga.thermal_momentum_covariance(basis, 0.3)
-        monkeypatch.setattr(rc, "_available_memory", lambda: 1000)
-        with pytest.raises(ValueError, match="1296 bytes, more than the available memory"):
+        monkeypatch.setattr(rc, "_available_memory", lambda: 719)
+        with pytest.raises(ValueError, match="720 bytes, more than the available memory"):
             rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1])
 
     def test_memory_preflight_message_is_deterministic(self, monkeypatch):
@@ -222,7 +227,7 @@ class TestSynthesis:
         basis = film_basis(3, 3)
         g0 = ga.thermal_momentum_covariance(basis, 0.3)
         messages = []
-        for have in (1000, 1295):
+        for have in (500, 719):
             monkeypatch.setattr(rc, "_available_memory", lambda: have)
             with pytest.raises(ValueError) as err:
                 rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1])
@@ -241,6 +246,32 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             rc.TwoPointSeries(rc.FIELD, [0.0], bad)
 
+    @pytest.mark.parametrize("skew, ok", [(0.99e-12, True), (1.01e-12, False)])
+    def test_symmetry_threshold_is_relative_to_largest_entry(self, monkeypatch, skew, ok):
+        # checked a chunk of 2 samples at a time: the skew of the last
+        # sample is measured against the largest entry of the first
+        monkeypatch.setattr(rc, "_CHUNK_BYTES", 2 * 9 * 8)
+        samples = np.full((5, 3, 3), 1e-3)
+        samples[0, 1, 1] = 1.0
+        samples[4, 0, 2] += skew
+        if ok:
+            rc.TwoPointSeries(rc.FIELD, np.arange(5.0), samples)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                rc.TwoPointSeries(rc.FIELD, np.arange(5.0), samples)
+
+    def test_non_finite_sample_in_a_later_chunk_rejected(self, monkeypatch):
+        monkeypatch.setattr(rc, "_CHUNK_BYTES", 2 * 9 * 8)
+        samples = np.ones((5, 3, 3))
+        samples[0, 0, 1] = 2.0      # asymmetric, but finiteness is reported first
+        samples[4, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rc.TwoPointSeries(rc.FIELD, np.arange(5.0), samples)
+
+    def test_samples_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            rc.TwoPointSeries(rc.FIELD, [0.0], np.zeros((1, 3, 1)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         samples = np.ones((2, 3, 3))
@@ -252,6 +283,112 @@ class TestSeriesValidation:
     def test_non_finite_times_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             rc.TwoPointSeries(rc.FIELD, [0.0, bad], np.ones((2, 3, 3)))
+
+
+def dense_sample(g0, basis, t, quadrature):
+    """G^T D Y(t) D G from the whole blocks of g0, with Y(t) written out in
+    full: c Q~ c + s P~ s + c R~ s + s R~^T c for the field, and cos and sin
+    swapped with R~ negated for the momentum."""
+    d_phi, d_eta = ga._mode_prefactors(basis, DERIVED)
+    c, s = np.cos(basis.omegas * t), np.sin(basis.omegas * t)
+    r = g0.r_block
+    if quadrature == rc.FIELD:
+        d = d_phi
+    else:
+        d, c, s, r = d_eta, s, c, -r
+    y = (c[:, None] * g0.q_block * c + s[:, None] * g0.p_block * s
+         + c[:, None] * r * s + s[:, None] * r.T * c)
+    dg = d[:, None] * basis.sampled
+    return dg.T @ y @ dg
+
+
+class TestPackedStorage:
+    GRIDS = {"dirichlet": (4, 4, BoundarySpec.dirichlet()),
+             "neumann": (4, 4, BoundarySpec.neumann()),     # n_modes < n_pix
+             "robin": (4, 4, BoundarySpec.robin(200.0)),
+             "non-square": (3, 5, BoundarySpec.dirichlet())}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("quadrature", [rc.FIELD, rc.MOMENTUM_QUADRATURE])
+    @pytest.mark.parametrize("state", ["thermal", "squeezed"])
+    def test_packed_rows_equal_dense_route(self, grid, quadrature, state):
+        nx, ny, spec = self.GRIDS[grid]
+        basis = film_basis(nx, ny, spec)
+        g0 = (ga.thermal_momentum_covariance(basis, 0.3) if state == "thermal"
+              else squeezed_covariance(basis))
+        times = [0.0, 0.013, 0.37, 2.9]
+        series = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature)
+        n_pix = basis.grid.n_pixels
+        assert series.packed.shape == (len(times), n_pix * (n_pix + 1) // 2)
+        assert series.n_pixels == n_pix
+        iu = np.triu_indices(n_pix)
+        for row, t in zip(series.packed, times):
+            want = dense_sample(g0, basis, t, quadrature)
+            assert np.max(np.abs(row - want[iu])) <= 1e-14 * np.max(np.abs(want))
+
+    def test_samples_exactly_symmetric(self):
+        basis = film_basis(3, 4)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        for series in (rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.2]),
+                       rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.2], noise_sigma=1e-3),
+                       rc.synth_two_point(squeezed_covariance(basis), basis, DERIVED, [0.1])):
+            samples = series.samples
+            assert np.array_equal(samples, np.transpose(samples, (0, 2, 1)))
+
+    @pytest.mark.parametrize("chunk_bytes", [rc._CHUNK_BYTES, 3 * 45 * 8])
+    def test_noise_equals_per_sample_draws(self, monkeypatch, chunk_bytes):
+        # one draw of each sample's 45 upper-triangle entries in turn, in
+        # np.triu_indices order, whatever the chunk the draws are made in
+        monkeypatch.setattr(rc, "_CHUNK_BYTES", chunk_bytes)
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        times = np.linspace(0.0, 0.1, 7)
+        clean = rc.synth_two_point(g0, basis, DERIVED, times)
+        noisy = rc.synth_two_point(g0, basis, DERIVED, times, noise_sigma=1e-3, seed=5)
+        rng = np.random.default_rng(5)
+        want = np.array([row + rng.normal(0.0, 1e-3, row.size) for row in clean.packed])
+        assert np.array_equal(noisy.packed, want)
+
+    def test_full_samples_round_trip(self):
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        series = rc.synth_two_point(g0, basis, DERIVED, rc.suggested_times(basis))
+        full = series.samples
+        again = rc.TwoPointSeries(rc.FIELD, series.times, full)
+        assert np.array_equal(again.samples, full)
+        assert np.array_equal(again.packed, series.packed)
+        want, got = (rc.fit_covariance(s, basis, DERIVED) for s in (series, again))
+        for block in ("qt", "pt", "rt"):
+            assert np.array_equal(getattr(got, block), getattr(want, block))
+        assert got.residual_rms == want.residual_rms
+
+    def test_storage_is_read_only(self):
+        basis = film_basis(3, 3)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        series = rc.synth_two_point(g0, basis, DERIVED, [0.0, 0.1])
+        with pytest.raises(AttributeError):
+            series.samples = np.zeros((2, 9, 9))
+        with pytest.raises(ValueError):
+            series.packed[0, 0] = 1.0
+        built = series.samples
+        built[0, 0, 0] = 1.0      # a new array on each read
+        assert not np.array_equal(series.samples, built)
+
+    def test_traced_peak_below_one_full_array(self):
+        import tracemalloc
+        basis = film_basis(6, 6)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        times = rc.suggested_times(basis)
+        full_bytes = times.size * basis.grid.n_pixels ** 2 * 8
+        assert times.size > 1000
+        tracemalloc.start()
+        try:
+            series = rc.synth_two_point(g0, basis, DERIVED, times)
+            rc.fit_covariance(series, basis, DERIVED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_bytes
 
 
 class TestFit:
