@@ -17,12 +17,15 @@ matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
 once for Q~ and P~.  On the pixel lattice it holds the mode weights a of
 Q and b of P, and each whole block is built from them, exactly symmetric,
 on its first whole read.  A certified state also keeps Q's axis rows,
-(nx + ny) n_modes numbers, and each pixel set S of Q or P (``restrict``,
-a mutual information) is gathered from axis rows as W W^T, W of shape
+(nx + ny) n_modes numbers, and the weights 1/a of X = G^T diag(1/a) G,
+Q's inverse in closed form (its pseudo-inverse on Neumann, whose G lacks
+the flat mode).  Each pixel set S of Q, P or X (``restrict``, a mutual
+information) is gathered from the block's axis rows as W W^T, W of shape
 |S| x n_modes, until the block's gathers would have cost more than
 building it: a loop over small sets, such as tile against tile, never
 holds an n_pixels^2 block.  The certified mutual information never reads
-P, and reads Q only on the box of pixels its pairs use.
+P and inverts nothing: it reads Q on its small sets and X on the
+complements of its large ones (``_LogDets``).
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -92,7 +95,9 @@ CLASSICAL_TOL = 1e-10  # largest certified entropy error the log-det route may c
 MODE_ERROR = 1 / 12    # 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 for nu >= 1
 NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
-Q, P = "_q", "_p"   # the blocks ``CovarianceMatrix._stored`` and ``_on`` read, by attribute
+# the blocks ``CovarianceMatrix._stored`` and ``_on`` read, by attribute: Q, P and
+# X = G^T diag(1/a) G, Q's inverse (its pseudo-inverse when G lacks the flat Neumann mode)
+Q, P, X = "_q", "_p", "_x"
 
 
 def _largest(block: np.ndarray, name: str) -> float:
@@ -166,12 +171,14 @@ class CovarianceMatrix:
                weights=None, rows=None) -> "CovarianceMatrix":
         """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
         as its vector; R only when nonzero; Q and P as None with their mode
-        weights {Q: a, P: b} when each is built on its first whole read, and
-        with Q's axis rows when sets are gathered from axis rows."""
+        weights {Q: a, P: b} (and X's, 1/a, on a certified state) when each
+        is built on its first whole read, and with Q's axis rows when sets
+        are gathered from axis rows."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
-        self._q, self._p, self._weights, self._rows = q, p, weights, rows
-        self._gathered = {Q: 0, P: 0}   # multiply-adds each block's gathers have spent
+        self._q, self._p, self._x, self._weights = q, p, None, weights
+        self._rows = None if rows is None else {Q: rows}   # the others made on first use
+        self._gathered = {Q: 0, P: 0, X: 0}   # multiply-adds each block's gathers have spent
         self._r = r if r is not None and r.any() else None
         for block in (q, p, self._r):
             if block is not None:
@@ -232,21 +239,24 @@ class CovarianceMatrix:
     def _on(self, k: str, box: np.ndarray) -> np.ndarray:
         """Block k on an index set S.  While a certified state's block is
         unbuilt, a proper subset S is gathered as W W^T, W = X[ix_S] * Y[iy_S]
-        from Q's stored axis rows or from P's, made for the gather, for
-        1/2 |S| (|S| + 1) n_modes multiply-adds.  The first S that would take
-        the block's gathers past nx^3 ny^2, the cost of building it, builds it
-        instead (ski rental: a run of sets never costs more than twice the
-        cheaper plan); every later S is sliced from the block, or is it."""
+        from the block's axis rows, Q's stored and the others' made on first
+        use, for 1/2 |S| (|S| + 1) n_modes multiply-adds.  The first S that
+        would take the block's gathers past nx^3 ny^2, the cost of building
+        it, builds it instead (ski rental: a run of sets never costs more than
+        twice the cheaper plan); every later S is sliced from the block, or
+        is it."""
         if getattr(self, k) is None and self._rows is not None and box.size < self.n:
             cost = box.size * (box.size + 1) // 2 * self.basis.n_modes
             if self._gathered[k] + cost <= self.n ** 2 * self.basis.grid.nx:   # nx^3 ny^2
                 self._gathered[k] += cost
-                x, y = self._rows if k == Q else self.basis.axis_rows(self._weights[P])
+                if k not in self._rows:
+                    self._rows[k] = self.basis.axis_rows(self._weights[k])
+                x, y = self._rows[k]
                 ix, iy = np.divmod(box, len(y))
                 w = y[iy]
-                starts = np.flatnonzero(np.diff(ix)) + 1
-                for run, i in zip(np.split(w, starts), ix[np.r_[0, starts]]):
-                    run *= x[i]   # in place: one |S| x n_modes array at a time
+                ends = (np.flatnonzero(np.diff(ix)) + 1).tolist()
+                for lo, hi in zip([0] + ends, ends + [box.size]):
+                    w[lo:hi] *= x[ix[lo]]   # in place: one |S| x n_modes array at a time
                 return w @ w.T   # syrk, exactly symmetric
         block = self._stored(k)
         return block if box.size == self.n else block[np.ix_(*[box] * block.ndim)]
@@ -288,8 +298,9 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     nonzero, R = G^T D_phi R~ D_eta G.  A state stored diagonal with R~ = 0
     keeps the mode weights of Q and P, from which each block is built axis by
     axis on its first whole read.  On a basis that lacks no mode but the flat
-    Neumann one it carries its nu_floor and P's spread delta, and Q's axis
-    rows (``ModeBasis.axis_rows``), from which small sets of Q are gathered.
+    Neumann one it carries its nu_floor, P's spread delta, X's weights 1/a,
+    and Q's axis rows (``ModeBasis.axis_rows``), from which small sets of Q
+    are gathered.
     Any other goes through the dense G products and ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
@@ -303,7 +314,8 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
         floor, spread = ((math.sqrt(a.min() * b.min()), b.max() / b.min() - 1.0)
                          if flat_only and min(a.min(), b.min()) > 0 else (None, None))
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
-            None, None, None, REAL, basis, floor, spread, {Q: a, P: b},
+            None, None, None, REAL, basis, floor, spread,
+            {Q: a, P: b} if floor is None else {Q: a, P: b, X: 1.0 / a},
             None if floor is None else basis.axis_rows(a))
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
@@ -453,50 +465,100 @@ def entropy_route(gamma: CovarianceMatrix, smallest: int, largest: int) -> Entro
 
 
 class _LogDets:
-    """Classical entropies of subsets S of a certified box of gamma's dof,
-    less sum_i (1 + 1/2 ln Q_ii + 1/2 ln min b), which cancels in any mutual
-    information: log-dets of Q's correlation matrices, small enough to keep
-    their digits, plus P's closed-form share 1/2 ln det Pi_S (module
-    docstring), Q on the box read by ``_on``.  A set of at most half the box
-    is factored on its own; the whole box is M's log-det, and a larger set,
-    with complement C, is det M det X_CC from one X = M^-1 built on first
-    use.  M is Q, but Q + c u u^T on a whole lattice whose Q u = 0, u flat,
-    c the mean of Q's diagonal: M^-1 u = u / c, and the determinant lemma
-    adds u_C^T X_CC^-1 u_C / c (Sherman & Morrison, Ann. Math. Stat. 21,
-    124 (1950))."""
+    """Classical entropies of subsets S of a certified box B of gamma's
+    pixels, less sum_S (1 + 1/2 ln c + 1/2 ln min b), which cancels in any
+    mutual information: 1/2 ln det(Q_S / c), c the mean of Q's diagonal, plus
+    P's closed-form share 1/2 ln det Pi_S (module docstring).
+
+    A set of at most half the box is factored from Q_S, as ``_on`` reads
+    it; so is every set of a box of at most half the lattice, whose Q is
+    read once.  A larger set is read through its complement C in the
+    lattice, from M^-1 = W = X + u u^T / c in closed form, where
+    M = Q + c u u^T, u is the flat unit vector, and the u terms are kept
+    only on a Neumann lattice, whose Q u = 0 and X = Q^+.  No matrix is
+    inverted: ln det M = sum ln a (+ ln c), and Jacobi's
+    complementary-minor identity gives det M_S = det M det W_CC (Horn &
+    Johnson, Matrix Analysis, 2nd ed. (2013)).  C is the ring R of pixels
+    outside the box plus the set's complement D in the box; R is eliminated
+    once, as the Schur complement Z = W_BB - W_BR W_RR^-1 W_RB = (M_B)^-1, so
+    det W_CC = det W_RR det Z_DD.  On Neumann, Q_S = M_S - c u_S u_S^T and
+    M^-1 u = u / c, so the determinant lemma (Sherman & Morrison, Ann. Math.
+    Stat. 21, 124 (1950)) adds ln(u_C^T W_CC^-1 u_C / c), where
+    u_C^T W_CC^-1 u_C = u_R^T W_RR^-1 u_R + w_D^T Z_DD^-1 w_D with
+    w = u_B - W_BR W_RR^-1 u_R; each D takes both terms from one factor."""
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
-        self.box, self.q = box, gamma._on(Q, box)
-        self.diag = np.diagonal(self.q)
-        n_pixels = gamma.basis.grid.n_pixels
-        self.flat = (gamma.basis.n_modes < n_pixels) / n_pixels   # 1/N without the flat mode
-        self.lift = float(self.diag.mean()) if box.size == gamma.n and gamma.structural_nulls else 0.0
-        self.m = self.q + self.lift / box.size if self.lift else self.q   # c u u^T is c / n
-        self.whole = self.inverse = None
+        self.gamma, self.box = gamma, box
+        a, n_pixels = gamma._weights[Q], gamma.basis.grid.n_pixels
+        self.c = a.sum() / n_pixels   # the mean of Q's diagonal
+        self.flat = (a.size < n_pixels) / n_pixels   # 1/N without the flat mode
+        self.q = gamma._on(Q, box) if 2 * box.size <= n_pixels else None   # a small box, once
+        self.base = None
 
     def reduced(self, idx: np.ndarray) -> float:
-        pos = np.searchsorted(self.box, idx)
-        k, n = pos.size, self.box.size
-        p_share = 0.5 * math.log1p(-k * self.flat)
+        k, n = idx.size, self.box.size
+        out = 0.5 * math.log1p(-k * self.flat)   # P's share
+        if self.q is not None:
+            pos = np.searchsorted(self.box, idx)
+            q = self.q if k == n else self.q[np.ix_(pos, pos)]
+            return out + _half_log_det(_cholesky(q), 1.0 / self.c)
         if 2 * k <= n:
-            return p_share + _reduced_log_det(self.q[np.ix_(pos, pos)], self.diag[pos])
-        if self.whole is None:
-            self.whole = _reduced_log_det(self.m, self.diag)
-        if k == n:
-            return p_share + self.whole
-        if self.inverse is None:
-            self.inverse = np.linalg.inv(self.m)
-        rest = np.setdiff1d(np.arange(n), pos, assume_unique=True)
-        x = self.inverse[np.ix_(rest, rest)]
-        out = p_share + self.whole + _reduced_log_det(x, 1.0 / self.diag[rest])
-        if self.lift:   # u_C^T X_CC^-1 u_C / c, with u = 1 / sqrt(n)
-            out += 0.5 * math.log(np.linalg.solve(x, np.ones(rest.size)).sum() / (n * self.lift))
-        return out
+            return out + _half_log_det(_cholesky(self.gamma._on(Q, idx)), 1.0 / self.c)
+        if self.base is None:
+            self._eliminate_ring()
+        out += self.base
+        rest = np.ones(n, dtype=bool)
+        rest[np.searchsorted(self.box, idx)] = False
+        rest = np.flatnonzero(rest)   # D, by its places in the box
+        if not rest.size:
+            return out + (0.5 * math.log(self.beta / self.c) if self.flat else 0.0)
+        if self.z is None:   # no ring: Z = W
+            z = self.gamma._on(X, self.box[rest]) + self.shift
+            w = np.full(rest.size, math.sqrt(self.flat))
+        else:
+            z, w = self.z[np.ix_(rest, rest)], self.w[rest]
+        if not self.flat:
+            return out + _half_log_det(_cholesky(z), self.c)
+        # Z_DD bordered by w_D and a corner above w_D^T Z_DD^-1 w_D <= |w_D|^2 max(a, c):
+        # the factor's last row is L^-1 w_D, as numpy has no triangular solve
+        k = rest.size
+        bordered = np.empty((k + 1, k + 1))
+        bordered[:k, :k], bordered[k, :k], bordered[:k, k] = z, w, w
+        bordered[k, k] = 2.0 * self.top * (w @ w)
+        chol = _cholesky(bordered)
+        tail = chol[k, :k]
+        return (out + _half_log_det(chol[:k, :k], self.c)
+                + 0.5 * math.log((self.beta + tail @ tail) / self.c))
+
+    def _eliminate_ring(self):
+        """base = 1/2 ln det(M / c) + 1/2 ln det(c W_RR) and, with a ring R,
+        Z, w and beta = u_R^T W_RR^-1 u_R; no ring gives Z = W, left to
+        ``_on``, and beta = 0."""
+        a, box, n_pixels = self.gamma._weights[Q], self.box, self.gamma.basis.grid.n_pixels
+        self.base = 0.5 * float(np.log(a / self.c).sum())   # sum ln a (+ ln c) - N ln c
+        self.top = max(a.max(), self.c)   # M's largest eigenvalue
+        self.shift = self.flat / self.c   # u u^T / c on every entry
+        self.z, self.beta = None, 0.0
+        ring = np.setdiff1d(np.arange(n_pixels), box, assume_unique=True)
+        if not ring.size:
+            return
+        x = self.gamma._stored(X)
+        chol = _cholesky(x[np.ix_(ring, ring)] + self.shift)
+        self.base += _half_log_det(chol, self.c)
+        rhs = np.empty((ring.size, box.size + 1))
+        rhs[:, :-1] = x[np.ix_(ring, box)] + self.shift
+        rhs[:, -1] = math.sqrt(self.flat)
+        f = np.linalg.solve(chol, rhs)   # L^-1 (W_RB, u_R), one solve per box
+        fb, fu = f[:, :-1], f[:, -1]
+        self.z = x[np.ix_(box, box)]
+        self.z += self.shift
+        self.z -= fb.T @ fb
+        self.w, self.beta = math.sqrt(self.flat) - fu @ fb, float(fu @ fu)
 
 
-def _reduced_log_det(m: np.ndarray, diag: np.ndarray) -> float:
-    """1/2 ln det M - 1/2 sum ln diag, from M's Cholesky factor."""
-    return float(np.log(np.diagonal(_cholesky(m)) / np.sqrt(diag)).sum())
+def _half_log_det(chol: np.ndarray, scale: float) -> float:
+    """1/2 ln det(scale M) from M's Cholesky factor."""
+    return float(np.log(np.diagonal(chol) * math.sqrt(scale)).sum())
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -510,7 +572,7 @@ def mutual_information_batch(gamma: CovarianceMatrix, pairs):
     """I(A:B) in nats, clamped at zero, for each disjoint (A, B) pair of masks
     or index arrays that `pairs` yields, and the EntropyRoute taken.  When the
     certificate covers the largest A u B, every entropy is read from one
-    ``_LogDets`` of Q on all pairs' pixels; otherwise from
+    ``_LogDets`` of all pairs' pixels; otherwise from
     ``von_neumann_entropy``, once per distinct set."""
     sets, used = [], np.zeros(gamma.n, dtype=bool)
     for a, b in pairs:

@@ -9,12 +9,13 @@ pairs are always separated by a buffer of at least one pixel ring so that
 A and B never touch.
 
 Each protocol hands all its pairs to ``gaussian.mutual_information_batch``,
-which reads a certified state's Q block on the pixels the pairs use, the
-box.  A set of at most half the box is factored on its own, and a larger
-one (A u B, an area-sweep B, the rest of the map's interior) is read
-through its complement from the box's one inverse; on a whole Neumann
-lattice, whose Q is singular, that is the inverse of Q lifted along its
-flat null vector.
+which reads a certified state's entropies as log-dets on the pixels the
+pairs use, the box.  A set of at most half the box is factored from Q on
+its own.  A larger one (A u B, an area-sweep B, the rest of the map's
+interior) is read through its complement from Q's closed-form inverse
+G^T diag(1/a) G, lifted along the flat null vector on a Neumann lattice;
+an interior box (the map, the interior sweeps) eliminates the outer pixel
+ring from that inverse once, as a Schur complement.
 """
 
 from __future__ import annotations

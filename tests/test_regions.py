@@ -292,6 +292,12 @@ def spectra(monkeypatch):
     return calls
 
 
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+    return refuse
+
+
 class TestEntropyRoutes:
     """Every protocol agrees with exact per-pair MI, and takes the classical
     route exactly where the certificate covers its largest set."""
@@ -326,19 +332,23 @@ class TestEntropyRoutes:
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     def test_whole_neumann_lattice_reads_large_sets_through_complements(
             self, shape, spectra, monkeypatch):
-        # the box is the whole lattice, whose Q is singular: the one whole-box
-        # factor is of Q lifted along its flat null vector, and every set
-        # larger than half the box is read through its complement
+        # the box is the whole lattice, whose Q is singular: its log-det is the
+        # closed form, with no factor of the box, and every set larger than
+        # half the box is read through its complement C, from one factor of
+        # (X + u u^T / c)_CC bordered by u_C; nothing is inverted or solved
         gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), BoundarySpec.neumann())
         factored = []
         cholesky = ga._cholesky
-        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m.shape[0]) or cholesky(m))
+        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m) or cholesky(m))
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, _refused(name))
         sweeps = [rg.run_volume_sweep(gamma), rg.run_area_sweep(gamma, 36)]
         n = gamma.n
         for sweep in sweeps:
             assert sweep.route.name == "classical"
-        assert spectra == [] and factored.count(n) == 2   # one whole box per sweep
-        assert all(size <= n // 2 for size in factored if size != n)
+        assert spectra == [] and max(m.shape[0] for m in factored) <= (n + 1) // 2
+        bordered = [m for m in factored if np.all(m[-1, :-1] == 1 / math.sqrt(n))]
+        assert len(bordered) >= sum(len(sweep.raw_points) for sweep in sweeps)
         for sweep in sweeps:
             for point in sweep.raw_points:
                 assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
@@ -396,3 +406,50 @@ class TestEntropyRoutes:
         assert np.all(interior > 0.1) and np.all(np.isfinite(interior))
         assert np.allclose(interior, interior[::-1, ::-1], atol=1e-10)
         assert np.allclose(interior, interior.T, atol=1e-10)
+
+
+class TestComplementRoute:
+    """With np.linalg.inv refused, every classical protocol reads its large
+    sets from the closed-form inverse of Q and matches exact MI.  At 20 x 20
+    and 17 x 9 the complements are gathered from the axis rows of 1/a before
+    that inverse is built, and the interior boxes eliminate a ring."""
+
+    @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_protocols_match_exact_mi(self, spec, shape, spectra, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", _refused("inv"))
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), spec)
+        sweeps = [sweep(gamma, *args, include_cell_boundary=include)
+                  for sweep, args in ((rg.run_volume_sweep, ()), (rg.run_area_sweep, (12,)))
+                  for include in (True, False)]
+        field = rg.mi_map(gamma).ravel()
+        assert spectra == [] and rg.map_route(gamma).name == "classical"
+        for sweep in sweeps:
+            assert sweep.route.name == "classical"
+            for point in sweep.raw_points:
+                assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
+                                                 abs=1e-10)
+        # the map: exact spectra on the 17 x 9 interior and on the 20 x 20
+        # interior's diagonal (each takes a Williamson problem of the interior
+        # less one pixel), and every value against log-dets of Q on each set
+        interior = rg._interior(gamma.basis.grid)
+        nx, ny = shape
+        checked = interior if nx * ny < 200 else interior[::ny - 1]
+        whole = _exact_entropy(gamma, interior)
+        for p in checked:
+            rest = interior[interior != p]
+            want = _exact_entropy(gamma, [p]) + _exact_entropy(gamma, rest) - whole
+            assert field[p] == pytest.approx(want, abs=1e-10)
+        q = gamma.q_block
+        log_det = lambda idx: np.linalg.slogdet(q[np.ix_(idx, idx)])[1]   # noqa: E731
+        share = (gamma.basis.n_modes < q.shape[0]) / q.shape[0]   # P's, on Neumann
+        whole = 0.5 * (log_det(interior) + math.log1p(-interior.size * share))
+        for p in interior:
+            rest = interior[interior != p]
+            want = 0.5 * (log_det([p]) + math.log1p(-share) + log_det(rest)
+                          + math.log1p(-rest.size * share)) - whole
+            assert field[p] == pytest.approx(want, abs=1e-10)
+
+
+def _exact_entropy(gamma, idx):
+    return math.fsum(ga._entropy_terms(ga.symplectic_spectrum(ga.restrict(gamma, idx)).values))
