@@ -423,11 +423,12 @@ def von_neumann_entropy(gamma: CovarianceMatrix) -> float:
 
 def _selector_indices(gamma: CovarianceMatrix, selector) -> np.ndarray:
     mask = hasattr(selector, "indices")   # RegionMask-like
-    if mask and gamma.labelling != REAL:
-        raise ValueError("pixel masks select from real-space covariances only")
-    idx = np.asarray(selector.indices() if mask else selector, dtype=int)
-    if idx.size == 0:
-        raise ValueError("cannot restrict to an empty selection")
+    if mask and (gamma.labelling != REAL or selector.grid != getattr(gamma.basis, "grid", None)):
+        raise ValueError("a pixel mask selects from a real-space covariance on its own grid only")
+    idx = np.asarray(selector.indices() if mask else selector)
+    if idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):   # not bool, not float
+        raise ValueError(f"a selection must be nonempty integer indices, got {idx.size} "
+                         f"of dtype {idx.dtype}")
     idx = np.sort(idx)
     if np.any(idx[1:] == idx[:-1]):
         raise ValueError("selection contains repeated indices")
@@ -479,27 +480,30 @@ class _LogDets:
     inverted: ln det M = sum ln a (+ ln c), and Jacobi's
     complementary-minor identity gives det M_S = det M det W_CC (Horn &
     Johnson, Matrix Analysis, 2nd ed. (2013)).  C is the ring R of pixels
-    outside the box plus the set's complement D in the box; R is eliminated
-    once, as the Schur complement Z = W_BB - W_BR W_RR^-1 W_RB = (M_B)^-1, so
+    outside the box plus the set's complement D in the box.  R is eliminated
+    once, into the |R| x |B| factor F = L^-1 W_RB, L = chol(W_RR), and each D
+    takes its own Schur complement Z_DD = W_DD - F_D^T F_D, so
     det W_CC = det W_RR det Z_DD.  On Neumann, Q_S = M_S - c u_S u_S^T and
     M^-1 u = u / c, so the determinant lemma (Sherman & Morrison, Ann. Math.
     Stat. 21, 124 (1950)) adds ln(u_C^T W_CC^-1 u_C / c), where
-    u_C^T W_CC^-1 u_C = u_R^T W_RR^-1 u_R + w_D^T Z_DD^-1 w_D with
-    w = u_B - W_BR W_RR^-1 u_R; each D takes both terms from one factor."""
+    u_C^T W_CC^-1 u_C = beta + w_D^T Z_DD^-1 w_D with beta = |f_u|^2,
+    f_u = L^-1 u_R and w_D = u_D - F_D^T f_u; each D takes both terms from
+    one factor."""
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
         self.gamma, self.box = gamma, box
         a, n_pixels = gamma._weights[Q], gamma.basis.grid.n_pixels
         self.c = a.sum() / n_pixels   # the mean of Q's diagonal
         self.flat = (a.size < n_pixels) / n_pixels   # 1/N without the flat mode
+        self.place = np.zeros(n_pixels, dtype=int)   # each box pixel's place in the box
+        self.place[box] = np.arange(box.size)
         self.q = gamma._on(Q, box) if 2 * box.size <= n_pixels else None   # a small box, once
         self.base = None
 
     def reduced(self, idx: np.ndarray) -> float:
-        k, n = idx.size, self.box.size
+        k, n, pos = idx.size, self.box.size, self.place[idx]
         out = 0.5 * math.log1p(-k * self.flat)   # P's share
         if self.q is not None:
-            pos = np.searchsorted(self.box, idx)
             q = self.q if k == n else self.q[np.ix_(pos, pos)]
             return out + _half_log_det(_cholesky(q), 1.0 / self.c)
         if 2 * k <= n:
@@ -508,21 +512,19 @@ class _LogDets:
             self._eliminate_ring()
         out += self.base
         rest = np.ones(n, dtype=bool)
-        rest[np.searchsorted(self.box, idx)] = False
+        rest[pos] = False
         rest = np.flatnonzero(rest)   # D, by its places in the box
         if not rest.size:
             return out + (0.5 * math.log(self.beta / self.c) if self.flat else 0.0)
-        if self.z is None:   # no ring: Z = W
-            z = self.gamma._on(X, self.box[rest]) + self.shift
-            w = np.full(rest.size, math.sqrt(self.flat))
-        else:
-            z, w = self.z[np.ix_(rest, rest)], self.w[rest]
+        f = self.f[:, rest]
+        z = self.gamma._on(X, self.box[rest]) + self.shift - f.T @ f
         if not self.flat:
             return out + _half_log_det(_cholesky(z), self.c)
         # Z_DD bordered by w_D and a corner above w_D^T Z_DD^-1 w_D <= |w_D|^2 max(a, c):
         # the factor's last row is L^-1 w_D, as numpy has no triangular solve
         k = rest.size
         bordered = np.empty((k + 1, k + 1))
+        w = math.sqrt(self.flat) - self.fu @ f
         bordered[:k, :k], bordered[k, :k], bordered[:k, k] = z, w, w
         bordered[k, k] = 2.0 * self.top * (w @ w)
         chol = _cholesky(bordered)
@@ -531,29 +533,23 @@ class _LogDets:
                 + 0.5 * math.log((self.beta + tail @ tail) / self.c))
 
     def _eliminate_ring(self):
-        """base = 1/2 ln det(M / c) + 1/2 ln det(c W_RR) and, with a ring R,
-        Z, w and beta = u_R^T W_RR^-1 u_R; no ring gives Z = W, left to
-        ``_on``, and beta = 0."""
+        """base = 1/2 ln det(M / c) + 1/2 ln det(c W_RR), F, f_u and beta;
+        with no ring, F and f_u have no rows and beta = 0."""
         a, box, n_pixels = self.gamma._weights[Q], self.box, self.gamma.basis.grid.n_pixels
         self.base = 0.5 * float(np.log(a / self.c).sum())   # sum ln a (+ ln c) - N ln c
         self.top = max(a.max(), self.c)   # M's largest eigenvalue
         self.shift = self.flat / self.c   # u u^T / c on every entry
-        self.z, self.beta = None, 0.0
         ring = np.setdiff1d(np.arange(n_pixels), box, assume_unique=True)
-        if not ring.size:
-            return
-        x = self.gamma._stored(X)
-        chol = _cholesky(x[np.ix_(ring, ring)] + self.shift)
-        self.base += _half_log_det(chol, self.c)
-        rhs = np.empty((ring.size, box.size + 1))
-        rhs[:, :-1] = x[np.ix_(ring, box)] + self.shift
-        rhs[:, -1] = math.sqrt(self.flat)
-        f = np.linalg.solve(chol, rhs)   # L^-1 (W_RB, u_R), one solve per box
-        fb, fu = f[:, :-1], f[:, -1]
-        self.z = x[np.ix_(box, box)]
-        self.z += self.shift
-        self.z -= fb.T @ fb
-        self.w, self.beta = math.sqrt(self.flat) - fu @ fb, float(fu @ fu)
+        f = np.empty((0, box.size + 1))
+        if ring.size:
+            x = self.gamma._stored(X)
+            chol = _cholesky(x[np.ix_(ring, ring)] + self.shift)
+            self.base += _half_log_det(chol, self.c)
+            rhs = np.empty((ring.size, box.size + 1))
+            rhs[:, :-1] = x[np.ix_(ring, box)] + self.shift
+            rhs[:, -1] = math.sqrt(self.flat)
+            f = np.linalg.solve(chol, rhs)   # L^-1 (W_RB, u_R), one solve per box
+        self.f, self.fu, self.beta = f[:, :-1], f[:, -1], float(f[:, -1] @ f[:, -1])
 
 
 def _half_log_det(chol: np.ndarray, scale: float) -> float:
@@ -578,6 +574,8 @@ def mutual_information_batch(gamma: CovarianceMatrix, pairs):
     for a, b in pairs:
         sets.append((_selector_indices(gamma, a), _selector_indices(gamma, b)))
         used[_union(*sets[-1])] = True
+    if not sets:
+        raise ValueError("mutual information needs at least one (A, B) pair; the batch is empty")
     route = entropy_route(gamma, min(min(a.size, b.size) for a, b in sets),
                           max(a.size + b.size for a, b in sets))
     if route.name == "classical":

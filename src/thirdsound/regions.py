@@ -15,7 +15,8 @@ its own.  A larger one (A u B, an area-sweep B, the rest of the map's
 interior) is read through its complement from Q's closed-form inverse
 G^T diag(1/a) G, lifted along the flat null vector on a Neumann lattice;
 an interior box (the map, the interior sweeps) eliminates the outer pixel
-ring from that inverse once, as a Schur complement.
+ring from that inverse once, into a thin factor of ring rows by box
+columns, from which each complement takes its own Schur complement.
 """
 
 from __future__ import annotations

@@ -679,6 +679,25 @@ class TestRestrict:
         with pytest.raises(ValueError):
             ga.restrict(gm, RegionMask.full(self.grid))
 
+    def test_mask_from_another_grid_rejected(self):
+        # a 2x2 corner of a 4x4 grid is pixels 0, 1, 4 and 5 there, not on 6x6
+        basis = film_basis(6, 6)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        corner = RegionMask.from_rect(self.grid, 0, 0, 2, 2)
+        with pytest.raises(ValueError, match="grid"):
+            ga.restrict(gr, corner)
+        with pytest.raises(ValueError, match="grid"):
+            ga.mutual_information(gr, corner, np.array([20, 21]))
+
+    @pytest.mark.parametrize("selection", [[2.5], np.array([3.0, 4.0]), np.array([True, False])],
+                             ids=["float-list", "float-array", "bool-array"])
+    def test_non_integer_indices_rejected(self, selection):
+        # [2.5] would be truncated to pixel 2, [True, False] read as pixels {1, 0}
+        with pytest.raises(ValueError, match="integer"):
+            ga.restrict(self.gr, selection)
+        with pytest.raises(ValueError, match="integer"):
+            ga.mutual_information(self.gr, selection, np.array([9, 10]))
+
 
 class TestMutualInformation:
     def test_momentum_product_state_zero(self):
@@ -713,6 +732,12 @@ class TestMutualInformation:
         oracle = (oracle_entropy(ia) + oracle_entropy(ib)
                   - oracle_entropy(np.concatenate([ia, ib])))
         assert ga.mutual_information(gr, ia, ib) == pytest.approx(oracle, abs=1e-5)
+
+    def test_empty_batch_rejected(self):
+        basis = film_basis(4, 4)
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        with pytest.raises(ValueError, match="batch is empty"):
+            ga.mutual_information_batch(gr, [])
 
     def test_overlap_rejected(self):
         basis = film_basis(4, 4)
@@ -901,6 +926,22 @@ class TestCertifiedClassicalRoute:
             if neumann:
                 assert np.max(np.abs(border - w_box[rows])) <= 1e-10 * np.max(np.abs(w_box))
         assert through >= n - 3
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_complement_read_keeps_no_box_square(self, spec):
+        # the ring is eliminated into a thin |R| x |B| factor: after reading a
+        # large set of the 80-pixel interior through its complement, no array
+        # the log-dets keep has |B|^2 entries, and the value is Q_S's log-det
+        gr = self.thermal(spec, 0.3, 12, 10)
+        box = RegionMask.from_columns(gr.basis.grid, 1, 11, 1, 9).indices()
+        logdets = ga._LogDets(gr, box)
+        c, flat = logdets.c, (gr.basis.n_modes < gr.n) / gr.n
+        for idx in (np.delete(box, 17), box[:60], box):
+            want = (0.5 * math.log1p(-idx.size * flat)
+                    + 0.5 * np.linalg.slogdet(gr.q_block[np.ix_(idx, idx)] / c)[1])
+            assert logdets.reduced(idx) == pytest.approx(want, abs=1e-10)
+        kept = {k: v.size for k, v in vars(logdets).items() if isinstance(v, np.ndarray)}
+        assert max(kept.values()) < box.size ** 2, kept
 
     @staticmethod
     def refused(*args, **kwargs):
