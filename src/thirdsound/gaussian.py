@@ -25,7 +25,8 @@ information) is gathered from the block's axis rows as W W^T, W of shape
 building it: a loop over small sets, such as tile against tile, never
 holds an n_pixels^2 block.  The certified mutual information never reads
 P and inverts nothing: it reads Q on its small sets and X on the
-complements of its large ones (``_LogDets``).
+complements of its large ones (``_LogDets``), or, for a batch of whole
+pixel columns, neither block (``_Channels``, below).
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -72,6 +73,17 @@ classical field MI of Wolf, Verstraete, Hastings & Cirac, PRL 100, 070502
 ``to_real_space`` stores nu_floor and delta and ``restrict`` passes them
 on; every other state takes the exact route, which stays the oracle
 through ``symplectic_spectrum``.
+
+Column channels.  G is a row permutation of Bx (x) By, so on a set S of
+whole pixel columns, I (x) By conjugates Q_S into one block per transverse
+mode my: ln det Q_S = sum_my ln det C_my[cols, cols], with the channel Gram
+C_my = Bx^T diag(a(., my)) Bx of nx x nx.  This is the reduction of strip
+entropies to 1-D fields of mass ~ k_y (Casini & Huerta, J. Phys. A 42,
+504007 (2009)).  ``mutual_information_batch`` takes it when three things
+hold: the batch's route is classical, the state is stored by its mode
+weights, and every A and B of the batch is a union of whole columns (a
+full-height volume sweep).  It then builds the (ny, nx, nx) stack of C_my
+once and one batched Cholesky per set, and never an n_pixels^2 block.
 """
 
 from __future__ import annotations
@@ -564,22 +576,61 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return union
 
 
+def _whole_columns(idx: np.ndarray, ny: int) -> bool:
+    """Whether sorted distinct pixel indices are a union of whole columns of ny pixels."""
+    if idx.size % ny:
+        return False
+    runs = idx.reshape(-1, ny)   # ny sorted distinct indices each, so spanning at least ny - 1
+    return bool(np.all(runs[:, 0] % ny == 0) and np.all(runs[:, -1] - runs[:, 0] == ny - 1))
+
+
+class _Channels:
+    """Classical entropies of unions S of whole pixel columns, reduced as by
+    ``_LogDets``: 1/2 ln det(Q_S / c) plus P's share 1/2 ln(1 - |S| flat),
+    from the channel Grams C_my / c (module docstring), a(mx, my) = 0 for the
+    flat Neumann mode G lacks.  Each set takes one batched Cholesky of its
+    (ny, |cols|, |cols|) blocks."""
+
+    def __init__(self, gamma: CovarianceMatrix):
+        (bx, by), (mx, my) = gamma.basis.axes, gamma.basis._index
+        a, n_pixels = gamma._weights[Q], gamma.basis.grid.n_pixels
+        self.flat = (a.size < n_pixels) / n_pixels
+        self.ny = by.shape[0]
+        w = np.zeros((self.ny, bx.shape[0]))
+        w[my, mx] = a / (a.sum() / n_pixels)   # c, the mean of Q's diagonal, as in _LogDets
+        self.grams = (bx.T * w[:, None, :]) @ bx   # C_my / c, (my, i, j)
+
+    def reduced(self, idx: np.ndarray) -> float:
+        cols = idx[::self.ny] // self.ny
+        chol = _cholesky(self.grams[:, cols[:, None], cols])
+        return (0.5 * math.log1p(-idx.size * self.flat)
+                + float(np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()))
+
+
 def mutual_information_batch(gamma: CovarianceMatrix, pairs):
     """I(A:B) in nats, clamped at zero, for each disjoint (A, B) pair of masks
-    or index arrays that `pairs` yields, and the EntropyRoute taken.  When the
-    certificate covers the largest A u B, every entropy is read from one
-    ``_LogDets`` of all pairs' pixels; otherwise from
+    or index arrays that `pairs` yields, and the EntropyRoute taken.
+
+    When the certificate covers the largest A u B of a state stored by its
+    mode weights, every entropy is a log-det of Q.  A batch whose every A and
+    B is a union of whole pixel columns (a full-height volume sweep) reads
+    them from the column channels (``_Channels``) and builds, gathers and
+    slices no pixel-space block; any other reads them from one ``_LogDets``
+    of all pairs' pixels.  Otherwise (no certificate, or a restriction of a
+    certified state, which keeps no weights) each entropy comes from
     ``von_neumann_entropy``, once per distinct set."""
     sets, used = [], np.zeros(gamma.n, dtype=bool)
     for a, b in pairs:
         sets.append((_selector_indices(gamma, a), _selector_indices(gamma, b)))
-        used[_union(*sets[-1])] = True
+        used[sets[-1][0]] = used[sets[-1][1]] = True
     if not sets:
         raise ValueError("mutual information needs at least one (A, B) pair; the batch is empty")
     route = entropy_route(gamma, min(min(a.size, b.size) for a, b in sets),
                           max(a.size + b.size for a, b in sets))
-    if route.name == "classical":
-        entropy = _LogDets(gamma, np.flatnonzero(used)).reduced
+    if route.name == "classical" and gamma._weights is not None:
+        ny = gamma.basis.grid.ny
+        entropy = (_Channels(gamma) if all(_whole_columns(s, ny) for pair in sets for s in pair)
+                   else _LogDets(gamma, np.flatnonzero(used))).reduced
     else:
         known = {}
 

@@ -742,8 +742,9 @@ class TestMutualInformation:
     def test_overlap_rejected(self):
         basis = film_basis(4, 4)
         gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
-        with pytest.raises(ValueError):
-            ga.mutual_information(gr, np.array([0, 1]), np.array([1, 2]))
+        for a, b in (([0, 1], [1, 2]), (np.arange(8), np.arange(4, 12))):   # whole columns too
+            with pytest.raises(ValueError, match="overlap"):
+                ga.mutual_information(gr, np.array(a), np.array(b))
 
     def test_symmetry(self):
         basis = film_basis(5, 5)
@@ -990,6 +991,18 @@ class TestCertifiedClassicalRoute:
         spectrum = ga.symplectic_spectrum
         monkeypatch.setattr(ga, "symplectic_spectrum", lambda g: calls.append(g.n) or spectrum(g))
         return calls
+
+    def test_restriction_of_certified_state_keeps_its_mi(self, monkeypatch):
+        # a restriction keeps the certificate but not the mode weights the
+        # log-det batches read, so its entropies are taken one set at a time
+        gr = self.thermal(BoundarySpec.dirichlet(), 0.3)
+        sub = ga.restrict(gr, np.arange(20))
+        assert sub.nu_floor is not None and sub._weights is None
+        calls = self.count_spectra(monkeypatch)
+        a, b = np.arange(3), np.arange(5, 9)
+        mi, route = ga.mutual_information_batch(sub, [(a, b)])
+        assert route.name == "classical" and calls == []
+        assert mi[0] == pytest.approx(ga.mutual_information(gr, a, b), abs=1e-12)
 
     def test_certified_state_takes_log_dets(self, monkeypatch):
         gr = self.thermal(BoundarySpec.dirichlet(), 0.3)

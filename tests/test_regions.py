@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg
 from thirdsound import FilmParams, derive_params
 from thirdsound import gaussian as ga
 from thirdsound import regions as rg
-from thirdsound.geometry import BoundarySpec, Grid, build_basis
+from thirdsound.geometry import BoundarySpec, Grid, ModeBasis, build_basis
 from thirdsound.physics import dispersion_thin_film
 from thirdsound.regions import RegionMask
 
@@ -294,7 +295,7 @@ def spectra(monkeypatch):
 
 def _refused(name):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"np.linalg.{name} called")
+        raise AssertionError(f"{name} called")
     return refuse
 
 
@@ -332,24 +333,28 @@ class TestEntropyRoutes:
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     def test_whole_neumann_lattice_reads_large_sets_through_complements(
             self, shape, spectra, monkeypatch):
-        # the box is the whole lattice, whose Q is singular: its log-det is the
-        # closed form, with no factor of the box, and every set larger than
-        # half the box is read through its complement C, from one factor of
-        # (X + u u^T / c)_CC bordered by u_C; nothing is inverted or solved
+        # the area sweep's box is the whole lattice, whose Q is singular: its
+        # log-det is the closed form, with no factor of the box, and every set
+        # larger than half the box is read through its complement C, from one
+        # factor of (X + u u^T / c)_CC bordered by u_C; the volume sweep's
+        # whole columns read neither Q nor X; nothing is inverted or solved
         gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), BoundarySpec.neumann())
         factored = []
         cholesky = ga._cholesky
         monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m) or cholesky(m))
         for name in ("inv", "solve"):
-            monkeypatch.setattr(np.linalg, name, _refused(name))
-        sweeps = [rg.run_volume_sweep(gamma), rg.run_area_sweep(gamma, 36)]
+            monkeypatch.setattr(np.linalg, name, _refused(f"np.linalg.{name}"))
+        volume = rg.run_volume_sweep(gamma)
+        assert gamma._q is None and gamma._x is None
+        assert gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
+        factored.clear()
+        area = rg.run_area_sweep(gamma, 36)
         n = gamma.n
-        for sweep in sweeps:
-            assert sweep.route.name == "classical"
+        assert volume.route.name == area.route.name == "classical"
         assert spectra == [] and max(m.shape[0] for m in factored) <= (n + 1) // 2
         bordered = [m for m in factored if np.all(m[-1, :-1] == 1 / math.sqrt(n))]
-        assert len(bordered) >= sum(len(sweep.raw_points) for sweep in sweeps)
-        for sweep in sweeps:
+        assert len(bordered) >= len(area.raw_points)
+        for sweep in (volume, area):
             for point in sweep.raw_points:
                 assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
                                                  abs=1e-10)
@@ -409,15 +414,17 @@ class TestEntropyRoutes:
 
 
 class TestComplementRoute:
-    """With np.linalg.inv refused, every classical protocol reads its large
-    sets from the closed-form inverse of Q and matches exact MI.  At 20 x 20
-    and 17 x 9 the complements are gathered from the axis rows of 1/a before
-    that inverse is built, and the interior boxes eliminate a ring."""
+    """With np.linalg.inv refused, every classical protocol matches exact MI.
+    The area sweeps, the interior volume sweep and the map read their large
+    sets from the closed-form inverse of Q: at 20 x 20 and 17 x 9 the
+    complements are gathered from the axis rows of 1/a before that inverse
+    is built, and the interior boxes eliminate a ring.  The full-height
+    volume sweep reads its whole columns from the column channels."""
 
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_protocols_match_exact_mi(self, spec, shape, spectra, monkeypatch):
-        monkeypatch.setattr(np.linalg, "inv", _refused("inv"))
+        monkeypatch.setattr(np.linalg, "inv", _refused("np.linalg.inv"))
         gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), spec)
         sweeps = [sweep(gamma, *args, include_cell_boundary=include)
                   for sweep, args in ((rg.run_volume_sweep, ()), (rg.run_area_sweep, (12,)))
@@ -449,6 +456,81 @@ class TestComplementRoute:
             want = 0.5 * (log_det([p]) + math.log1p(-share) + log_det(rest)
                           + math.log1p(-rest.size * share)) - whole
             assert field[p] == pytest.approx(want, abs=1e-10)
+
+
+class TestColumnChannels:
+    """A batch whose every A and B is a union of whole pixel columns, on a
+    certified state stored by its mode weights, reads its log-dets from the
+    column channels and never a pixel-space block; every other batch keeps
+    ``_LogDets``."""
+
+    @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_full_volume_sweep_builds_and_gathers_nothing(self, spec, shape, monkeypatch):
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), spec)
+        built = []
+        to_pixels = ModeBasis.to_pixels
+        monkeypatch.setattr(ModeBasis, "to_pixels",
+                            lambda basis, w: built.append(w) or to_pixels(basis, w))
+        monkeypatch.setattr(ga, "_LogDets", _refused("gaussian._LogDets"))
+        for buffer in (1, 2):
+            assert rg.run_volume_sweep(gamma, buffer=buffer).route.name == "classical"
+        assert built == [] and gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
+        assert gamma._q is None and gamma._p is None and gamma._x is None
+
+    def test_whole_columns_hand_values(self):
+        ny = 3
+        for idx, whole in (([0, 1, 2], True), ([3, 4, 5, 9, 10, 11], True), ([0, 1], False),
+                           ([1, 2, 3], False), ([0, 1, 2, 3, 4, 6], False)):
+            assert ga._whole_columns(np.array(idx), ny) is whole
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_one_set_off_the_columns_keeps_log_dets(self, spec, monkeypatch):
+        # the last pair's A u B is whole columns, but its A ends mid-column
+        grid, ny = Grid(5e-3, 3.7e-3, 12, 7), 7
+        n = grid.n_pixels
+        columns = [(np.arange(k * ny), np.arange((k + 1) * ny, n)) for k in range(1, 11)]
+        pairs = columns + [(np.arange(3 * ny + 4), np.arange(3 * ny + 4, 6 * ny))]
+        fresh = thermal_state(grid, spec)
+        logdets = ga._LogDets(fresh, np.arange(n))
+        want = [logdets.reduced(a) + logdets.reduced(b) - logdets.reduced(np.union1d(a, b))
+                for a, b in pairs]
+        strips = ga.mutual_information_batch(thermal_state(grid, spec), columns)
+        monkeypatch.setattr(ga, "_Channels", _refused("gaussian._Channels"))
+        mis, route = ga.mutual_information_batch(thermal_state(grid, spec), pairs)
+        assert route.name == strips[1].name == "classical"
+        assert np.max(np.abs(mis - np.maximum(want, 0.0))) <= 1e-12
+        assert np.max(np.abs(strips[0] - mis[:-1])) <= 1e-10
+
+    @pytest.mark.parametrize("protocol", ["interior-volume", "full-area", "interior-area", "map"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_other_protocols_keep_log_dets(self, spec, protocol, monkeypatch):
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, 12, 7), spec)
+        boxes = []
+        logdets = ga._LogDets
+        monkeypatch.setattr(ga, "_Channels", _refused("gaussian._Channels"))
+        monkeypatch.setattr(ga, "_LogDets", lambda g, box: boxes.append(box) or logdets(g, box))
+        if protocol == "map":
+            rg.mi_map(gamma)
+        else:
+            include = protocol.startswith("full")
+            sweep = (rg.run_volume_sweep(gamma, include_cell_boundary=include)
+                     if protocol.endswith("volume") else
+                     rg.run_area_sweep(gamma, 4, include_cell_boundary=include))
+            assert sweep.route.name == "classical"
+        assert len(boxes) == 1
+
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind.value)
+    def test_48x48_volume_sweep_holds_no_block(self, spec):
+        gamma = thermal_state(Grid(5e-3, 5e-3, 48, 48), spec)
+        tracemalloc.start()
+        try:
+            sweep = rg.run_volume_sweep(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.route.name == "classical" and len(sweep.raw_points) == 46
+        assert peak < gamma.n ** 2 * 8 / 8, peak   # an eighth of one n_pixels^2 block
 
 
 def _exact_entropy(gamma, idx):
