@@ -46,14 +46,22 @@ its diagonal entry copies the symmetric part's, which lies within the
 eigenvalue range of the rest and so keeps cond(A).  Degenerate off-diagonal
 pairs are reported in `unidentifiable_pairs`; a pair whose A^T A has a
 condition number of at least RANK_COND (cond(A) >= 1e6) is rank deficient.
-The residual models each sample from the fitted blocks themselves, through
-the same pixel observable that synthesis evaluates.
+
+G is a row permutation of K = Bx (x) By (see `geometry`), so the fit
+conjugates each sample by K one axis at a time, with no transposes
+(`_conjugate`), and runs in K's row order, mode (mx, my) at row mx ny + my
+and w = 0 on the rows of modes G lacks.  The gather back to mode order and
+D^-1 are applied once, to the sums; Y~(t) = K M(t) K^T is symmetric to
+round-off and is not symmetrised.  The residual models each sample from
+the fitted blocks folded once into D Q~ D, D P~ D and D R~ D, through the
+Kron-order `_pixel_observable` that synthesis of a state with R~ != 0 uses.
 
 A sample is symmetric, so a series keeps only its upper triangle: one row
 of n_pix (n_pix + 1) / 2 entries per time, in np.triu_indices(n_pix) order.
-On a diagonal state with R~ = 0, synthesis writes each pixel row i of every
-sample with one product of the (n_times, n_modes) weights y(t) with
-dg[:, i] dg[:, j >= i]; the fit unpacks one sample at a time.
+On a diagonal state with R~ = 0, synthesis writes the packed entries (i, j)
+of every sample as the (n_times, n_modes) weights y(t) times
+dg[:, i] dg[:, j]: one GEMM per block of pair columns and of times, each
+block sized from _CHUNK_BYTES.  The fit unpacks one sample at a time.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ RANK_COND = 1e12         # cond(A^T A) at which a pair's design counts as rank d
 NYQUIST_FACTOR = 4.0     # dt <= pi / (NYQUIST_FACTOR * w_max)
 SPAN_CYCLES = 2.0        # span in periods of the smallest nonzero frequency gap
 
-_CHUNK_BYTES = 1 << 20    # bytes of samples checked or drawn, or of phases, per step
+_CHUNK_BYTES = 1 << 20    # bytes of samples, phases or GEMM operands per step
 
 
 def _checked_times(times) -> np.ndarray:
@@ -184,27 +192,61 @@ class ReconstructionResult:
 
 
 def _phases(omegas: np.ndarray, times: np.ndarray, quadrature: str):
-    """cos(w_m t) and sin(w_m t), (n_times, n_modes), swapped for the
-    momentum quadrature as in `_pixel_observable`."""
+    """cos(w_m t) and sin(w_m t), (n_times, omegas.size), swapped for the
+    momentum quadrature as `_pixel_observable` takes them."""
     phase = np.outer(times, omegas)
     c, s = np.cos(phase), np.sin(phase)
     return (c, s) if quadrature == FIELD else (s, c)
 
 
-def _pixel_observable(q, p, r, dg: np.ndarray, omegas: np.ndarray, t: float,
-                      quadrature: str) -> np.ndarray:
-    """G^T D Y(t) D G for dg = D G, with Y(t) the mode-space observable of the
-    blocks (Q~, P~, R~), r=None for R~ = 0."""
-    c, s = np.cos(omegas * t), np.sin(omegas * t)
-    if quadrature != FIELD:
-        # the momentum model is the field model with cos and sin swapped
-        # and R~ negated
-        c, s, r = s, c, r if r is None else -r
-    y = c[:, None] * q * c[None, :] + s[:, None] * p * s[None, :]
-    if r is not None:
-        y += c[:, None] * r * s[None, :]
-        y += s[:, None] * r.T * c[None, :]
-    return dg.T @ y @ dg
+def _kron(basis):
+    """Each mode's row mx ny + my of K = Bx (x) By, so that G = K[kron], and
+    the frequencies in K's row order, w = 0 on the rows of modes G lacks."""
+    kron = basis._index[0] * basis.grid.ny + basis._index[1]
+    omegas = np.zeros(basis.grid.n_pixels)
+    omegas[kron] = basis.omegas
+    return kron, omegas
+
+
+def _folded(block, d: np.ndarray, basis):
+    """D B D of a mode-space block B in K's row order, zero on the rows and
+    columns of modes G lacks; None (B = 0) stays None."""
+    if block is None:
+        return None
+    kron, n_pix = _kron(basis)[0], basis.grid.n_pixels
+    out = np.zeros((n_pix, n_pix))
+    out[np.ix_(kron, kron)] = d[:, None] * block * d
+    return out
+
+
+def _conjugate(m: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """(Bx (x) By) M (Bx (x) By)^T for M in pixel order (i, a): By on the
+    (nx, ny, n) view, one Bx GEMM on the (nx, ny n) view, then By on the
+    (n nx, ny) view and Bx on the (n, nx, ny) view."""
+    nx, ny, n = bx.shape[0], by.shape[0], m.shape[0]
+    m = bx @ (by @ m.reshape(nx, ny, n)).reshape(nx, ny * n)
+    return (bx @ (m.reshape(n * nx, ny) @ by.T).reshape(n, nx, ny)).reshape(n, n)
+
+
+def _pixel_observable(q, p, r, basis, times: np.ndarray, quadrature: str):
+    """K^T Y(t) K at each time in turn, Y = C Q C + S P S + C R S + S R^T C
+    from blocks folded with D in K's row order, r=None for R = 0; the
+    momentum model swaps C and S (see `_phases`) and negates R."""
+    if r is not None and quadrature != FIELD:
+        r = -r
+    bxt, byt = (b.T for b in basis.axes)
+    omegas = _kron(basis)[1]
+    chunk = _rows(5 * 8 * omegas.size)   # as the fit's phase chunk
+    for lo in range(0, times.size, chunk):
+        cos_t, sin_t = _phases(omegas, times[lo:lo + chunk], quadrature)
+        for c, s in zip(cos_t, sin_t):
+            y = c[:, None] * q * c + s[:, None] * p * s
+            if r is not None:
+                cr = c[:, None] * r * s
+                y += cr
+                y += cr.T
+            yield _conjugate(y, bxt, byt)
+        del cos_t, sin_t, c, s   # rows c and s hold the chunk too
 
 
 def _available_memory() -> int:
@@ -227,7 +269,9 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     covariance transformed to the pixel lattice; the noise is drawn for
     each sample's upper triangle, in np.triu_indices order.  Packed samples
     larger than available memory raise ValueError before anything is
-    allocated.
+    allocated.  They are all it counts: beyond them `fit_covariance`'s
+    working set is O(n_pix^2) plus one phase chunk of _CHUNK_BYTES, at any
+    number of times.
     """
     if gamma0.labelling != MOMENTUM:
         raise ValueError("synthesis starts from a momentum-space covariance")
@@ -244,25 +288,25 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     if need > _available_memory():
         raise ValueError(f"{times.size} samples of {n_pix}x{n_pix} pixels need {need} bytes, "
                          "more than the available memory")
-    d_phi, d_eta = _mode_prefactors(basis, derived)
-    dg = (d_phi if quadrature == FIELD else d_eta)[:, None] * basis.sampled
-    omegas = basis.omegas
+    d = _mode_prefactors(basis, derived)[quadrature != FIELD]
     packed = np.empty((times.size, n_pairs))
+    iu, ju = np.triu_indices(n_pix)
     if gamma0.diagonals is not None:
-        c, s = _phases(omegas, times, quadrature)
+        c, s = _phases(basis.omegas, times, quadrature)
         q, p = gamma0.diagonals
         y = c * q * c + s * p * s      # (n_times, n_modes): Y(t) = diag(y(t))
         del c, s                       # not held beside the samples
-        start = 0
-        for i in range(n_pix):
-            # entries (i, j >= i) of every sample: sum_m y_m(t) dg[m, i] dg[m, j]
-            packed[:, start:start + n_pix - i] = y @ (dg[:, i:i + 1] * dg[:, i:])
-            start += n_pix - i
+        dg = d[:, None] * basis.sampled
+        cols = _rows(8 * basis.n_modes)   # pair columns whose factor fills one step
+        rows = _rows(8 * cols)            # times whose block of packed fills one step
+        for lo in range(0, n_pairs, cols):
+            # entries (i, j) of every sample: sum_m y_m(t) dg[m, i] dg[m, j]
+            w = dg[:, iu[lo:lo + cols]] * dg[:, ju[lo:lo + cols]]
+            for t0 in range(0, times.size, rows):
+                np.matmul(y[t0:t0 + rows], w, out=packed[t0:t0 + rows, lo:lo + cols])
     else:
-        q, p, r = gamma0.q_block, gamma0.p_block, gamma0._r
-        iu, ju = np.triu_indices(n_pix)
-        for row, t in zip(packed, times):
-            m = _pixel_observable(q, p, r, dg, omegas, t, quadrature)
+        q, p, r = (_folded(m, d, basis) for m in (gamma0.q_block, gamma0.p_block, gamma0._r))
+        for row, m in zip(packed, _pixel_observable(q, p, r, basis, times, quadrature)):
             row[:] = 0.5 * (m[iu, ju] + m[ju, iu])
     if noise_sigma > 0:
         # drawn a chunk of samples at a time: the same stream, in the same
@@ -293,11 +337,13 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     """Least-squares recovery of (Q~, P~, R~) at t=0 from a two-point series.
 
     The normal equations of every mode pair are built from Gram sums and
-    from right-hand sides accumulated one sample at a time, then solved in
+    from right-hand sides accumulated one sample at a time in K's row order
+    (module docstring), gathered to mode order once, then solved in
     one batch of 4 x 4 systems; diagonal and degenerate pairs pin the
     antisymmetric part of R~ to zero (R~_mn = R~_nm).  `condition` is the
     largest cond(A) over all pairs.  Raises RankDeficiencyError if any
-    pair's cond(A^T A) reaches RANK_COND.
+    pair's cond(A^T A) reaches RANK_COND.  Neither pass reads G; beyond
+    the series the working set is O(n_pix^2) plus one chunk of phases.
 
     `residual_rms` takes a second pass, modelling each sample from the fitted
     (Q~, P~, R~) as synthesis does.  The one-pass identity |y - A x|^2 =
@@ -312,22 +358,20 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     d, d_inv = _mode_prefactors(basis, derived)
     if not field_quadrature:   # swap D and D^-1 (and cos and sin); R~ is negated below
         d, d_inv = d_inv, d
-    omegas = basis.omegas
-    n = basis.n_modes
-    g = basis.sampled
-    dg, g_d = d[:, None] * g, d_inv[:, None] * g
+    omegas, n = basis.omegas, basis.n_modes
     n_pix, times = series.n_pixels, series.times
+    kron, kron_omegas = _kron(basis)
     unpack = _unpack_index(n_pix)
+    chunk = _rows(5 * 8 * n_pix)   # a chunk's five phase arrays fill one step
 
     # Gram sums such as (C^2)^T C^2 over the columns f = (c_m c_n, s_m s_n,
     # c_m s_n, s_m c_n), a chunk of times at a time, and right-hand sides
-    # sum_t f_i Y_mn from Y(t) = D^-1 G M(t) G^T D^-1, one sample at a time,
-    # symmetrised because the (m, n) and (n, m) rows coincide
-    cc, ss, xx, c_s, c_x, x_s = np.zeros((6, n, n))
-    b_cc, b_ss, b_cs = np.zeros((3, n, n))
-    chunk = _rows(8 * n)
+    # sum_t f_i Y~_kl(t), from Y~(t) = K M(t) K^T one sample at a time, all
+    # in K's row order
+    sums = np.zeros((9, n_pix, n_pix))
+    cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs = sums
     for lo in range(0, times.size, chunk):
-        cos_t, sin_t = _phases(omegas, times[lo:lo + chunk], series.quadrature)
+        cos_t, sin_t = _phases(kron_omegas, times[lo:lo + chunk], series.quadrature)
         c2, s2, cs = cos_t * cos_t, sin_t * sin_t, cos_t * sin_t
         cc += c2.T @ c2
         ss += s2.T @ s2
@@ -336,12 +380,16 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
         c_x += c2.T @ cs
         x_s += cs.T @ s2
         for row, c, s in zip(series.packed[lo:lo + chunk], cos_t, sin_t):
-            y = g_d @ np.take(row, unpack).reshape(n_pix, n_pix) @ g_d.T
-            y = 0.5 * (y + y.T)
+            y = _conjugate(np.take(row, unpack).reshape(n_pix, n_pix), *basis.axes)
             cy, sy = c[:, None] * y, s[:, None] * y
             b_cc += cy * c
             b_ss += sy * s
             b_cs += cy * s
+        del cos_t, sin_t, c2, s2, cs, c, s   # rows c and s hold the chunk too
+    # to mode order once, with D^-1 on the right-hand sides: the mode-space
+    # observable is Y = D^-1 G M G^T D^-1 = D^-1 Y~[kron, kron] D^-1
+    cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs = sums[:, kron[:, None], kron]
+    b_cc, b_ss, b_cs = (d_inv[:, None] * b * d_inv for b in (b_cc, b_ss, b_cs))
     # gram[m, n, i, j] = sum_t f_i f_j
     gram = np.stack([np.stack([cc, xx, c_x, c_x.T], -1),
                      np.stack([xx, ss, x_s, x_s.T], -1),
@@ -375,11 +423,15 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     pt[iu, ju] = pt[ju, iu] = sol[:, 1]
     rt[iu, ju], rt[ju, iu] = sol[:, 2], sol[:, 3]
 
+    # the residual, a second pass: each sample less the model of the fitted
+    # blocks, folded with D once in K's row order
+    q, p, r = (_folded(m, d, basis) for m in (qt, pt, rt))
     sq = 0.0
-    for t, row in zip(times, series.packed):
-        model = _pixel_observable(qt, pt, rt, dg, omegas, t, series.quadrature)
-        sq += float(np.mean((model - np.take(row, unpack).reshape(n_pix, n_pix)) ** 2))
+    for row, diff in zip(series.packed, _pixel_observable(q, p, r, basis, times,
+                                                          series.quadrature)):
+        diff -= np.take(row, unpack).reshape(n_pix, n_pix)
+        sq += float(np.vdot(diff, diff))
     return ReconstructionResult(qt=qt, pt=pt, rt=rt,
-                                residual_rms=float(np.sqrt(sq / series.n_times)),
+                                residual_rms=math.sqrt(sq / (times.size * n_pix ** 2)),
                                 condition=float(np.sqrt(worst)),
                                 unidentifiable_pairs=unidentifiable)

@@ -390,6 +390,49 @@ class TestPackedStorage:
             tracemalloc.stop()
         assert peak < full_bytes
 
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("quadrature", [rc.FIELD, rc.MOMENTUM_QUADRATURE])
+    @pytest.mark.parametrize("state", ["thermal", "squeezed"])
+    def test_residual_rms_equals_dense_oracle(self, grid, quadrature, state):
+        # the rms over every sample and entry of the dense model of the
+        # fitted blocks less the sample
+        nx, ny, spec = self.GRIDS[grid]
+        basis = film_basis(nx, ny, spec)
+        g0 = (ga.thermal_momentum_covariance(basis, 0.3) if state == "thermal"
+              else squeezed_covariance(basis))
+        times = rc.suggested_times(basis)
+        clean = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature)
+        sigma = 1e-3 * np.max(np.abs(clean.packed))
+        series = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature,
+                                    noise_sigma=sigma, seed=11)
+        result = rc.fit_covariance(series, basis, DERIVED)
+        fitted = result.gamma()
+        sq = sum(np.sum((dense_sample(fitted, basis, t, quadrature) - sample) ** 2)
+                 for t, sample in zip(times, series.samples))
+        want = np.sqrt(sq / series.samples.size)
+        assert want > 0.1 * sigma
+        assert abs(result.residual_rms - want) <= 1e-10 * want
+
+    def test_fit_working_set_does_not_grow_with_times(self):
+        # beyond the series it reads, the fit holds O(n_pix^2) numbers and
+        # one chunk of phases: a quarter of the times and all of them (more
+        # than one chunk) peak under the same bound
+        import tracemalloc
+        basis = film_basis(6, 6)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        full = rc.suggested_times(basis)
+        bound = rc._CHUNK_BYTES + 64 * basis.grid.n_pixels ** 2 * 8
+        assert full.size * basis.grid.n_pixels * 8 * 5 > rc._CHUNK_BYTES
+        for times in (full[: full.size // 4], full):
+            series = rc.synth_two_point(g0, basis, DERIVED, times)
+            tracemalloc.start()
+            try:
+                rc.fit_covariance(series, basis, DERIVED)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+
 
 class TestFit:
     def test_noiseless_round_trip(self):
@@ -491,6 +534,54 @@ class TestFit:
         assert result.unidentifiable_pairs == []
         err = np.max(np.abs(result.gamma().data - g0.data)) / np.max(np.abs(g0.data))
         assert err < 1e-8
+
+    @pytest.mark.parametrize("quadrature", [rc.FIELD, rc.MOMENTUM_QUADRATURE])
+    def test_matches_per_pair_least_squares(self, quadrature):
+        # oracle: each mode pair (m, n) fitted on its own by lstsq on the
+        # explicit N x 4 design, to the symmetrised Y_mn(t) of D^-1 G M(t) G^T D^-1
+        basis = film_basis(3, 4, ly=3.7e-3)   # no tied pairs
+        g0 = squeezed_covariance(basis)
+        times = rc.suggested_times(basis)
+        clean = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature)
+        series = rc.synth_two_point(g0, basis, DERIVED, times, quadrature=quadrature,
+                                    noise_sigma=1e-3 * np.max(np.abs(clean.packed)), seed=2)
+        result = rc.fit_covariance(series, basis, DERIVED)
+        assert result.unidentifiable_pairs == []
+
+        d_phi, d_eta = ga._mode_prefactors(basis, DERIVED)
+        gd = (1.0 / (d_phi if quadrature == rc.FIELD else d_eta))[:, None] * basis.sampled
+        y = np.einsum("mi,tij,nj->tmn", gd, series.samples, gd)
+        y = 0.5 * (y + y.transpose(0, 2, 1))
+        c, s = np.cos(np.outer(times, basis.omegas)), np.sin(np.outer(times, basis.omegas))
+        if quadrature != rc.FIELD:
+            c, s = s, c
+        n = basis.n_modes
+        want = np.zeros((3, n, n))   # Q~, P~, R~ with R~ negated for momentum below
+        for m in range(n):
+            for k in range(m, n):
+                design = np.stack([c[:, m] * c[:, k], s[:, m] * s[:, k],
+                                   c[:, m] * s[:, k], s[:, m] * c[:, k]], axis=1)
+                x = np.linalg.lstsq(design, y[:, m, k], rcond=None)[0]
+                want[0, m, k] = want[0, k, m] = x[0]
+                want[1, m, k] = want[1, k, m] = x[1]
+                want[2, m, k], want[2, k, m] = x[2], x[3]
+        if quadrature != rc.FIELD:
+            want[2] *= -1.0
+        for got, block in zip((result.qt, result.pt, result.rt), want):
+            assert np.max(np.abs(got - block)) <= 1e-9 * np.max(np.abs(block))
+
+    def test_fit_reads_no_sampled_basis(self, monkeypatch):
+        basis = film_basis(3, 4, ly=3.7e-3)
+        g0 = squeezed_covariance(basis)
+        series = rc.synth_two_point(g0, basis, DERIVED, rc.suggested_times(basis))
+        want = rc.fit_covariance(series, basis, DERIVED)
+
+        def refused(self):
+            raise AssertionError("fit_covariance read ModeBasis.sampled")
+
+        monkeypatch.setattr(type(basis), "sampled", property(refused))
+        got = rc.fit_covariance(series, basis, DERIVED)
+        assert np.array_equal(got.qt, want.qt) and got.residual_rms == want.residual_rms
 
     def test_noiseless_residual_stays_zero_as_times_grow(self):
         basis = film_basis(3, 3)
