@@ -24,9 +24,9 @@ information) is gathered from the block's axis rows as W W^T, W of shape
 |S| x n_modes, until the block's gathers would have cost more than
 building it: a loop over small sets, such as tile against tile, never
 holds an n_pixels^2 block.  The certified mutual information never reads
-P and inverts nothing: it reads Q on its small sets and X on the
-complements of its large ones (``_LogDets``), or, for a batch of whole
-pixel columns, neither block (``_Channels``, below).
+P and inverts nothing (``_LogDets``): it reads a union of whole pixel
+columns from neither block (below), any other small set from Q, and a
+large one from X on its complement.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -79,11 +79,11 @@ whole pixel columns, I (x) By conjugates Q_S into one block per transverse
 mode my: ln det Q_S = sum_my ln det C_my[cols, cols], with the channel Gram
 C_my = Bx^T diag(a(., my)) Bx of nx x nx.  This is the reduction of strip
 entropies to 1-D fields of mass ~ k_y (Casini & Huerta, J. Phys. A 42,
-504007 (2009)).  ``mutual_information_batch`` takes it when three things
-hold: the batch's route is classical, the state is stored by its mode
-weights, and every A and B of the batch is a union of whole columns (a
-full-height volume sweep).  It then builds the (ny, nx, nx) stack of C_my
-once and one batched Cholesky per set, and never an n_pixels^2 block.
+504007 (2009)).  A certified mutual information reads each of its sets
+that is a union of whole columns (every set of a full-height volume sweep,
+an area sweep's B beside a full-height A) from the (ny, nx, nx) stack of
+C_my, built once, by one batched Cholesky per set; a batch of such sets
+alone builds, gathers and slices no pixel-space block.
 """
 
 from __future__ import annotations
@@ -483,24 +483,27 @@ class _LogDets:
     mutual information: 1/2 ln det(Q_S / c), c the mean of Q's diagonal, plus
     P's closed-form share 1/2 ln det Pi_S (module docstring).
 
-    A set of at most half the box is factored from Q_S, as ``_on`` reads
-    it; so is every set of a box of at most half the lattice, whose Q is
-    read once.  A larger set is read through its complement C in the
-    lattice, from M^-1 = W = X + u u^T / c in closed form, where
-    M = Q + c u u^T, u is the flat unit vector, and the u terms are kept
-    only on a Neumann lattice, whose Q u = 0 and X = Q^+.  No matrix is
-    inverted: ln det M = sum ln a (+ ln c), and Jacobi's
-    complementary-minor identity gives det M_S = det M det W_CC (Horn &
-    Johnson, Matrix Analysis, 2nd ed. (2013)).  C is the ring R of pixels
-    outside the box plus the set's complement D in the box.  R is eliminated
-    once, into the |R| x |B| factor F = L^-1 W_RB, L = chol(W_RR), and each D
-    takes its own Schur complement Z_DD = W_DD - F_D^T F_D, so
-    det W_CC = det W_RR det Z_DD.  On Neumann, Q_S = M_S - c u_S u_S^T and
-    M^-1 u = u / c, so the determinant lemma (Sherman & Morrison, Ann. Math.
-    Stat. 21, 124 (1950)) adds ln(u_C^T W_CC^-1 u_C / c), where
-    u_C^T W_CC^-1 u_C = beta + w_D^T Z_DD^-1 w_D with beta = |f_u|^2,
-    f_u = L^-1 u_R and w_D = u_D - F_D^T f_u; each D takes both terms from
-    one factor."""
+    Each set picks its own read.  A union of whole pixel columns takes one
+    batched Cholesky of its blocks of the channel Grams C_my / c (module
+    docstring), built on the first such set, with a(mx, my) = 0 for the
+    flat Neumann mode G lacks.  Any other set is factored from Q_S when it
+    is at most half the box, as ``_on`` reads it, or when the box is at most
+    half the lattice, sliced from the box's Q, read on the first such set.
+    A larger set is read through its complement C in the lattice, from
+    M^-1 = W = X + u u^T / c in closed form, where M = Q + c u u^T, u is the
+    flat unit vector, and the u terms are kept only on a Neumann lattice,
+    whose Q u = 0 and X = Q^+.  No matrix is inverted: ln det M =
+    sum ln a (+ ln c), and Jacobi's complementary-minor identity gives
+    det M_S = det M det W_CC (Horn & Johnson, Matrix Analysis, 2nd ed.
+    (2013)).  C is the ring R of pixels outside the box plus the set's
+    complement D in the box.  R is eliminated once, into the |R| x |B|
+    factor F = L^-1 W_RB, L = chol(W_RR), and each D takes its own Schur
+    complement Z_DD = W_DD - F_D^T F_D, so det W_CC = det W_RR det Z_DD.  On
+    Neumann, Q_S = M_S - c u_S u_S^T and M^-1 u = u / c, so the determinant
+    lemma (Sherman & Morrison, Ann. Math. Stat. 21, 124 (1950)) adds
+    ln(u_C^T W_CC^-1 u_C / c), where u_C^T W_CC^-1 u_C = beta + w_D^T Z_DD^-1 w_D
+    with beta = |f_u|^2, f_u = L^-1 u_R and w_D = u_D - F_D^T f_u; each D
+    takes both terms from one factor."""
 
     def __init__(self, gamma: CovarianceMatrix, box: np.ndarray):
         self.gamma, self.box = gamma, box
@@ -509,17 +512,25 @@ class _LogDets:
         self.flat = (a.size < n_pixels) / n_pixels   # 1/N without the flat mode
         self.place = np.zeros(n_pixels, dtype=int)   # each box pixel's place in the box
         self.place[box] = np.arange(box.size)
-        self.q = gamma._on(Q, box) if 2 * box.size <= n_pixels else None   # a small box, once
-        self.base = None
+        self.small = 2 * box.size <= n_pixels   # its Q is read once, and each set sliced
+        self.q = self.grams = self.base = None   # each read on first use
 
     def reduced(self, idx: np.ndarray) -> float:
-        k, n, pos = idx.size, self.box.size, self.place[idx]
+        k, n, pos, ny = idx.size, self.box.size, self.place[idx], self.gamma.basis.grid.ny
         out = 0.5 * math.log1p(-k * self.flat)   # P's share
-        if self.q is not None:
-            q = self.q if k == n else self.q[np.ix_(pos, pos)]
+        if _whole_columns(idx, ny):
+            if self.grams is None:   # C_my / c by (my, i, j), from w[mx, my] = a(mx, my) / c
+                bx = self.gamma.basis.axes[0]
+                w = np.zeros((bx.shape[0], ny))
+                w.flat[self.gamma.basis.kron] = self.gamma._weights[Q] / self.c
+                self.grams = (bx.T * w.T.copy()[:, None, :]) @ bx
+            cols = idx[::ny] // ny
+            return out + _half_log_det(_cholesky(self.grams[:, cols[:, None], cols]), 1.0)
+        if self.small or 2 * k <= n:
+            if self.small and self.q is None:
+                self.q = self.gamma._on(Q, self.box)
+            q = self.gamma._on(Q, idx) if self.q is None else self.q[np.ix_(pos, pos)]
             return out + _half_log_det(_cholesky(q), 1.0 / self.c)
-        if 2 * k <= n:
-            return out + _half_log_det(_cholesky(self.gamma._on(Q, idx)), 1.0 / self.c)
         if self.base is None:
             self._eliminate_ring()
         out += self.base
@@ -565,8 +576,8 @@ class _LogDets:
 
 
 def _half_log_det(chol: np.ndarray, scale: float) -> float:
-    """1/2 ln det(scale M) from M's Cholesky factor."""
-    return float(np.log(np.diagonal(chol) * math.sqrt(scale)).sum())
+    """1/2 ln det(scale M) from M's Cholesky factor, summed over a stack of them."""
+    return float(np.log(np.diagonal(chol, axis1=-2, axis2=-1) * math.sqrt(scale)).sum())
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -578,33 +589,8 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _whole_columns(idx: np.ndarray, ny: int) -> bool:
     """Whether sorted distinct pixel indices are a union of whole columns of ny pixels."""
-    if idx.size % ny:
-        return False
-    runs = idx.reshape(-1, ny)   # ny sorted distinct indices each, so spanning at least ny - 1
-    return bool(np.all(runs[:, 0] % ny == 0) and np.all(runs[:, -1] - runs[:, 0] == ny - 1))
-
-
-class _Channels:
-    """Classical entropies of unions S of whole pixel columns, reduced as by
-    ``_LogDets``: 1/2 ln det(Q_S / c) plus P's share 1/2 ln(1 - |S| flat),
-    from the channel Grams C_my / c (module docstring), a(mx, my) = 0 for the
-    flat Neumann mode G lacks.  Each set takes one batched Cholesky of its
-    (ny, |cols|, |cols|) blocks."""
-
-    def __init__(self, gamma: CovarianceMatrix):
-        (bx, by), (mx, my) = gamma.basis.axes, gamma.basis._index
-        a, n_pixels = gamma._weights[Q], gamma.basis.grid.n_pixels
-        self.flat = (a.size < n_pixels) / n_pixels
-        self.ny = by.shape[0]
-        w = np.zeros((self.ny, bx.shape[0]))
-        w[my, mx] = a / (a.sum() / n_pixels)   # c, the mean of Q's diagonal, as in _LogDets
-        self.grams = (bx.T * w[:, None, :]) @ bx   # C_my / c, (my, i, j)
-
-    def reduced(self, idx: np.ndarray) -> float:
-        cols = idx[::self.ny] // self.ny
-        chol = _cholesky(self.grams[:, cols[:, None], cols])
-        return (0.5 * math.log1p(-idx.size * self.flat)
-                + float(np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()))
+    return idx.size % ny == 0 and np.array_equal(idx.reshape(-1, ny),
+                                                 idx[::ny, None] // ny * ny + np.arange(ny))
 
 
 def mutual_information_batch(gamma: CovarianceMatrix, pairs):
@@ -612,13 +598,11 @@ def mutual_information_batch(gamma: CovarianceMatrix, pairs):
     or index arrays that `pairs` yields, and the EntropyRoute taken.
 
     When the certificate covers the largest A u B of a state stored by its
-    mode weights, every entropy is a log-det of Q.  A batch whose every A and
-    B is a union of whole pixel columns (a full-height volume sweep) reads
-    them from the column channels (``_Channels``) and builds, gathers and
-    slices no pixel-space block; any other reads them from one ``_LogDets``
-    of all pairs' pixels.  Otherwise (no certificate, or a restriction of a
-    certified state, which keeps no weights) each entropy comes from
-    ``von_neumann_entropy``, once per distinct set."""
+    mode weights, every entropy is a log-det of Q, read by one ``_LogDets``
+    of all pairs' pixels, which picks each set's read from the set.
+    Otherwise (no certificate, or a restriction of a certified state, which
+    keeps no weights) each entropy comes from ``von_neumann_entropy``, once
+    per distinct set."""
     sets, used = [], np.zeros(gamma.n, dtype=bool)
     for a, b in pairs:
         sets.append((_selector_indices(gamma, a), _selector_indices(gamma, b)))
@@ -628,9 +612,7 @@ def mutual_information_batch(gamma: CovarianceMatrix, pairs):
     route = entropy_route(gamma, min(min(a.size, b.size) for a, b in sets),
                           max(a.size + b.size for a, b in sets))
     if route.name == "classical" and gamma._weights is not None:
-        ny = gamma.basis.grid.ny
-        entropy = (_Channels(gamma) if all(_whole_columns(s, ny) for pair in sets for s in pair)
-                   else _LogDets(gamma, np.flatnonzero(used))).reduced
+        entropy = _LogDets(gamma, np.flatnonzero(used)).reduced
     else:
         known = {}
 

@@ -250,6 +250,11 @@ class ModeBasis:
         self._index = np.array([m.index for m in self.modes], dtype=int).reshape(-1, 2).T
 
     @property
+    def kron(self) -> np.ndarray:
+        """Each mode's row mx ny + my in Bx (x) By, so that G = (Bx (x) By)[kron]."""
+        return self._index[0] * self.grid.ny + self._index[1]
+
+    @property
     def sampled(self) -> np.ndarray:
         """G, rows orthonormal; the row for mode (mx, my) is Bx[mx] (x) By[my]."""
         (bx, by), (mx, my) = self.axes, self._index
@@ -284,9 +289,8 @@ class ModeBasis:
         """
         bx, by = self.axes
         nx, ny = bx.shape[0], by.shape[0]
-        mx, my = self._index
         w = np.zeros((nx, ny))
-        w[mx, my] = weights
+        w.flat[self.kron] = weights
         ty = np.einsum("xy,ya,yb->xab", w, by, by, optimize=True)          # (mx, a, b)
         t = np.tensordot(bx[:, :, None] * bx[:, None, :], ty, axes=(0, 0))   # (i, j, a, b)
         out = t.reshape(nx, ny, nx, ny)                                      # (i, a, j, b)

@@ -200,12 +200,11 @@ def _phases(omegas: np.ndarray, times: np.ndarray, quadrature: str):
 
 
 def _kron(basis):
-    """Each mode's row mx ny + my of K = Bx (x) By, so that G = K[kron], and
+    """Each mode's row of K = Bx (x) By (``ModeBasis.kron``, G = K[kron]), and
     the frequencies in K's row order, w = 0 on the rows of modes G lacks."""
-    kron = basis._index[0] * basis.grid.ny + basis._index[1]
     omegas = np.zeros(basis.grid.n_pixels)
-    omegas[kron] = basis.omegas
-    return kron, omegas
+    omegas[basis.kron] = basis.omegas
+    return basis.kron, omegas
 
 
 def _folded(block, d: np.ndarray, basis):

@@ -16,9 +16,10 @@ interior) is read through its complement from Q's closed-form inverse
 G^T diag(1/a) G, lifted along the flat null vector on a Neumann lattice;
 an interior box (the map, the interior sweeps) eliminates the outer pixel
 ring from that inverse once, into a thin factor of ring rows by box
-columns, from which each complement takes its own Schur complement.  The
-full-height volume sweep, whose sets are all whole columns, reads neither
-block: its log-dets split into one nx x nx problem per transverse mode.
+columns, from which each complement takes its own Schur complement.  A set
+of whole columns (every set of the full-height volume sweep, an area
+sweep's B beside a full-height A) reads neither block: its log-det splits
+into one problem per transverse mode on its columns.
 """
 
 from __future__ import annotations

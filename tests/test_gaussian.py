@@ -883,14 +883,16 @@ class TestCertifiedClassicalRoute:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_batch_factors_q_alone(self, spec, monkeypatch):
-        # nothing is inverted, and each factor of a classical batch is of a
-        # principal submatrix of Q (small sets), of the closed-form inverse
-        # W = X + u u^T / c of M = Q + c u u^T (u terms on Neumann only),
-        # read through complements on the whole lattice, or of the box
-        # inverse Z = (M_B)^-1 that eliminating the ring from W leaves on the
-        # lattice less one pixel; on Neumann each complement's submatrix is
-        # bordered by w = c Z u_B (u on the whole lattice).  Neither box's
-        # log-det takes a factor of the box.
+        # nothing is inverted; each whole-column set, and no other, takes a
+        # stack of its columns' blocks of the channel Grams C_my / c; every
+        # other factor of a classical batch is of a principal submatrix of Q
+        # (small sets), of the closed-form inverse W = X + u u^T / c of
+        # M = Q + c u u^T (u terms on Neumann only), read through complements
+        # on the whole lattice, or of the box inverse Z = (M_B)^-1 that
+        # eliminating the ring from W leaves on the lattice less one pixel;
+        # on Neumann each complement's submatrix is bordered by w = c Z u_B
+        # (u on the whole lattice).  Neither box's log-det takes a factor of
+        # the box.
         gr = self.thermal(spec, 0.3, 7, 5)
         n, q = gr.n, gr.q_block
         neumann = spec.kind.value == "neumann"
@@ -901,18 +903,37 @@ class TestCertifiedClassicalRoute:
         z_box = np.linalg.inv(m_box)
         w_box = c * z_box.sum(axis=1) / math.sqrt(n)
         tol = 1e-10 * np.max(np.abs(z_box))
-        factored = []
-        cholesky = ga._cholesky
-        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m) or cholesky(m))
+        bx, ny = gr.basis.axes[0], gr.basis.grid.ny
+        grams = np.zeros((ny, bx.shape[0], bx.shape[0]))   # C_my / c, one mode at a time
+        for weight, (mx, my) in zip(gr._weights[ga.Q] / c, zip(*np.divmod(gr.basis.kron, ny))):
+            grams[my] += weight * np.outer(bx[mx], bx[mx])
+        reading, factored = [], []
+        reduced, cholesky = ga._LogDets.reduced, ga._cholesky
+        monkeypatch.setattr(ga._LogDets, "reduced",
+                            lambda self, idx: reading.append(idx) or reduced(self, idx))
+        monkeypatch.setattr(ga, "_cholesky",
+                            lambda m: factored.append((len(reading), m)) or cholesky(m))
         monkeypatch.setattr(np.linalg, "inv", self.refused)
         for box in (np.arange(n), np.arange(1, n)):   # the whole box only on the second
             pairs = [(box[:k], box[k + 1:]) for k in range(1, box.size - 1)]
             pairs += [(box[k:k + 1], np.delete(box, k)) for k in range(box.size) if box[0]]
             mis, route = ga.mutual_information_batch(gr, pairs)
             assert route.name == "classical" and np.all(mis > 0)
-        assert max(m.shape[0] for m in factored) <= n // 2 + 1
+        assert max(m.shape[-1] for _, m in factored) <= n // 2 + 1
+        stacks = {read: m for read, m in factored if m.ndim == 3}
+        assert len(stacks) == 18   # 6 A and 6 B on the whole box, 6 B on the other
+        for read, idx in enumerate(reading, 1):
+            cols = np.unique(idx // ny)
+            if idx.size < cols.size * ny:   # not every pixel of the columns it touches
+                assert read not in stacks
+                continue
+            want = grams[:, cols[:, None], cols]
+            assert np.max(np.abs(stacks.pop(read) - want)) <= 1e-12 * np.max(grams)
+        assert stacks == {}
         through = 0
-        for m in factored:
+        for _, m in factored:
+            if m.ndim == 3:
+                continue
             if self.principal_rows(m, q) is not None:
                 continue
             through += 1

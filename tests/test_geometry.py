@@ -190,6 +190,16 @@ class TestBuildBasis:
             mx, my = mode.index
             assert np.array_equal(row, np.kron(bx[mx], by[my]))
 
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_kron_rows(self, spec):
+        # G is Bx (x) By with its rows picked by kron; Neumann lacks row 0
+        basis = build_basis(Grid(5e-3, 4e-3, 5, 3), spec, linear_dispersion)
+        bx, by = basis.axes
+        assert basis.kron.tolist() == [mx * 3 + my for mx, my in (m.index for m in basis.modes)]
+        assert np.array_equal(basis.sampled, np.kron(bx, by)[basis.kron])
+        assert sorted(basis.kron) == list(range(spec.kind.value == "neumann", 15))
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_non_positive_or_non_finite_omega_rejected(self, bad):
         def dispersion(k):

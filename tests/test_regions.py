@@ -459,10 +459,9 @@ class TestComplementRoute:
 
 
 class TestColumnChannels:
-    """A batch whose every A and B is a union of whole pixel columns, on a
-    certified state stored by its mode weights, reads its log-dets from the
-    column channels and never a pixel-space block; every other batch keeps
-    ``_LogDets``."""
+    """On a certified state stored by its mode weights, each set that is a
+    union of whole pixel columns reads its log-det from the column channels;
+    a batch of such sets alone never reads a pixel-space block."""
 
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
@@ -472,7 +471,8 @@ class TestColumnChannels:
         to_pixels = ModeBasis.to_pixels
         monkeypatch.setattr(ModeBasis, "to_pixels",
                             lambda basis, w: built.append(w) or to_pixels(basis, w))
-        monkeypatch.setattr(ga, "_LogDets", _refused("gaussian._LogDets"))
+        for name in ("_on", "_stored"):
+            monkeypatch.setattr(ga.CovarianceMatrix, name, _refused(f"CovarianceMatrix.{name}"))
         for buffer in (1, 2):
             assert rg.run_volume_sweep(gamma, buffer=buffer).route.name == "classical"
         assert built == [] and gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
@@ -486,18 +486,25 @@ class TestColumnChannels:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_one_set_off_the_columns_keeps_log_dets(self, spec, monkeypatch):
-        # the last pair's A u B is whole columns, but its A ends mid-column
+        # the last pair's A u B is whole columns, but its A and B end
+        # mid-column: in one batch, each whole-column set takes a channel
+        # stack and each of those two a factor of Q_S
         grid, ny = Grid(5e-3, 3.7e-3, 12, 7), 7
         n = grid.n_pixels
         columns = [(np.arange(k * ny), np.arange((k + 1) * ny, n)) for k in range(1, 11)]
         pairs = columns + [(np.arange(3 * ny + 4), np.arange(3 * ny + 4, 6 * ny))]
-        fresh = thermal_state(grid, spec)
-        logdets = ga._LogDets(fresh, np.arange(n))
-        want = [logdets.reduced(a) + logdets.reduced(b) - logdets.reduced(np.union1d(a, b))
+        dense = thermal_state(grid, spec)
+        q, share = dense.q_block, (dense.basis.n_modes < n) / n   # P's share, on Neumann
+        half_log_det = lambda idx: 0.5 * (np.linalg.slogdet(q[np.ix_(idx, idx)])[1]   # noqa: E731
+                                          + math.log1p(-idx.size * share))
+        want = [half_log_det(a) + half_log_det(b) - half_log_det(np.union1d(a, b))
                 for a, b in pairs]
         strips = ga.mutual_information_batch(thermal_state(grid, spec), columns)
-        monkeypatch.setattr(ga, "_Channels", _refused("gaussian._Channels"))
+        factored = []
+        cholesky = ga._cholesky
+        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m.ndim) or cholesky(m))
         mis, route = ga.mutual_information_batch(thermal_state(grid, spec), pairs)
+        assert factored == [3, 3, 3] * len(columns) + [2, 2, 3]
         assert route.name == strips[1].name == "classical"
         assert np.max(np.abs(mis - np.maximum(want, 0.0))) <= 1e-12
         assert np.max(np.abs(strips[0] - mis[:-1])) <= 1e-10
@@ -506,10 +513,10 @@ class TestColumnChannels:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_other_protocols_keep_log_dets(self, spec, protocol, monkeypatch):
         gamma = thermal_state(Grid(5e-3, 3.7e-3, 12, 7), spec)
-        boxes = []
+        readers = []
         logdets = ga._LogDets
-        monkeypatch.setattr(ga, "_Channels", _refused("gaussian._Channels"))
-        monkeypatch.setattr(ga, "_LogDets", lambda g, box: boxes.append(box) or logdets(g, box))
+        monkeypatch.setattr(ga, "_LogDets",
+                            lambda g, box: readers.append(logdets(g, box)) or readers[-1])
         if protocol == "map":
             rg.mi_map(gamma)
         else:
@@ -518,7 +525,34 @@ class TestColumnChannels:
                      if protocol.endswith("volume") else
                      rg.run_area_sweep(gamma, 4, include_cell_boundary=include))
             assert sweep.route.name == "classical"
-        assert len(boxes) == 1
+        assert len(readers) == 1 and readers[0].grams is None
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_area_sweep_reads_a_whole_column_b_from_channels(self, spec, monkeypatch):
+        # at 20 x 20 the 2 x 18 rectangle's buffer spans every row, so its B is
+        # columns 0-7 and 12-19, one (20, 16, 16) stack; every other set is not
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, 20, 20), spec)
+        factored = []
+        cholesky = ga._cholesky
+        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m.shape) or cholesky(m))
+        sweep = rg.run_area_sweep(gamma, 36)
+        assert sweep.route.name == "classical"
+        assert [s for s in factored if len(s) == 3] == [(20, 16, 16)]
+        assert any(p.pair.label == {"width": 2, "height": 18} for p in sweep.raw_points)
+        for point in sweep.raw_points:
+            assert point.mi == pytest.approx(exact_mi(gamma, point.pair.a, point.pair.b),
+                                             abs=1e-10)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_two_columns_gather_nothing(self, spec):
+        # a box of at most half the lattice reads its Q on its first set that
+        # is not whole columns, so columns 0 and 2 read no pixel-space block
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, 20, 20), spec)
+        a, b = np.arange(20), np.arange(40, 60)
+        got = ga.mutual_information(gamma, a, b)
+        assert gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
+        assert gamma._q is None and gamma._x is None
+        assert got == pytest.approx(exact_mi(gamma, a, b), abs=1e-10)
 
     @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind.value)
     def test_48x48_volume_sweep_holds_no_block(self, spec):
