@@ -37,7 +37,7 @@ at once, in the unknowns Q~_mn, P~_mn and (R~_mn +- R~_nm) / sqrt(2), with
 columns c_m c_n, s_m s_n and (c_m s_n +- s_m c_n) / sqrt(2); this change of
 unknowns is orthonormal and leaves cond(A) unchanged.  Each entry of A^T A
 is an entry of one of six n x n time sums such as (C^2)^T C^2; A^T y
-accumulates one sample at a time.  On the diagonal and on pairs with
+accumulates a batch of samples at a time.  On the diagonal and on pairs with
 degenerate frequencies (w_m = w_n, generic on square grids) the
 antisymmetric column vanishes: there is no beat note and R~_mn - R~_nm is
 unidentifiable.  Its unknown is pinned to zero, which sets R~_mn = R~_nm
@@ -47,21 +47,34 @@ eigenvalue range of the rest and so keeps cond(A).  Degenerate off-diagonal
 pairs are reported in `unidentifiable_pairs`; a pair whose A^T A has a
 condition number of at least RANK_COND (cond(A) >= 1e6) is rank deficient.
 
-G is a row permutation of K = Bx (x) By (see `geometry`), so the fit
-conjugates each sample by K one axis at a time, with no transposes
-(`_conjugate`), and runs in K's row order, mode (mx, my) at row mx ny + my
-and w = 0 on the rows of modes G lacks.  The gather back to mode order and
-D^-1 are applied once, to the sums; Y~(t) = K M(t) K^T is symmetric to
-round-off and is not symmetrised.  The residual models each sample from
-the fitted blocks folded once into D Q~ D, D P~ D and D R~ D, through the
-Kron-order `_pixel_observable` that synthesis of a state with R~ != 0 uses.
+G is a row permutation of K = Bx (x) By (see `geometry`), so the fit runs in
+K's row order, mode (mx, my) at row mx ny + my and w = 0 on the rows of
+modes G lacks; the gather back to mode order and D^-1 are applied once, to
+the sums.  Its one transform is the half transform K M on M's row index,
+By then Bx, one axis at a time (`_half`).  A sample M is exactly
+symmetric, so Y~ = K M K^T = K (K M)^T takes two of them and a transpose
+that the second reads in place.  Over a batch of times, the right-hand
+sides sum_t c_k c_l Y~_kl, sum_t c_k s_l Y~_kl and sum_t s_k s_l Y~_kl are
+contractions over t of Y~ c_l and Y~ s_l with c_k and s_k: two Hadamard
+products per sample.  Y~(t) is symmetric to round-off and is not
+symmetrised.
+
+The residual compares each sample with the model Y of the fitted blocks,
+folded once into D Q~ D, D P~ D and D R~ D in K's row order: K is
+orthogonal and Y symmetric, so |M - K^T Y K| = |K M - (K^T Y)^T|, one half
+transform of the sample and one, by K^T, of the model.  Y is built as
+c_k u + s_k v with u = Q c_l + R s_l and v = P s_l + R^T c_l
+(`_half_models`).  Synthesis of a state with R~ != 0 takes the same half
+of the model and finishes it as K^T Y K = K^T (K^T Y)^T
+(`_pixel_observable`).
 
 A sample is symmetric, so a series keeps only its upper triangle: one row
 of n_pix (n_pix + 1) / 2 entries per time, in np.triu_indices(n_pix) order.
 On a diagonal state with R~ = 0, synthesis writes the packed entries (i, j)
 of every sample as the (n_times, n_modes) weights y(t) times
 dg[:, i] dg[:, j]: one GEMM per block of pair columns and of times, each
-block sized from _CHUNK_BYTES.  The fit unpacks one sample at a time.
+block sized from _CHUNK_BYTES.  The fit unpacks one batch of samples at a
+time.
 """
 
 from __future__ import annotations
@@ -193,7 +206,7 @@ class ReconstructionResult:
 
 def _phases(omegas: np.ndarray, times: np.ndarray, quadrature: str):
     """cos(w_m t) and sin(w_m t), (n_times, omegas.size), swapped for the
-    momentum quadrature as `_pixel_observable` takes them."""
+    momentum quadrature as `_half_models` takes them."""
     phase = np.outer(times, omegas)
     c, s = np.cos(phase), np.sin(phase)
     return (c, s) if quadrature == FIELD else (s, c)
@@ -218,34 +231,53 @@ def _folded(block, d: np.ndarray, basis):
     return out
 
 
-def _conjugate(m: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """(Bx (x) By) M (Bx (x) By)^T for M in pixel order (i, a): By on the
-    (nx, ny, n) view, one Bx GEMM on the (nx, ny n) view, then By on the
-    (n nx, ny) view and Bx on the (n, nx, ny) view."""
-    nx, ny, n = bx.shape[0], by.shape[0], m.shape[0]
-    m = bx @ (by @ m.reshape(nx, ny, n)).reshape(nx, ny * n)
-    return (bx @ (m.reshape(n * nx, ny) @ by.T).reshape(n, nx, ny)).reshape(n, n)
+def _half(m: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """(Bx (x) By) M for each M of a stack (..., n_pix, n), on M's row index
+    (i, a): By on the (..., nx, ny, n) view, then Bx on the (..., nx, ny n)
+    view.  A transposed M is read in place."""
+    nx, ny, n = bx.shape[0], by.shape[0], m.shape[-1]
+    lead = m.shape[:-2]
+    return (bx @ (by @ m.reshape(*lead, nx, ny, n)).reshape(*lead, nx, ny * n)).reshape(m.shape)
 
 
-def _pixel_observable(q, p, r, basis, times: np.ndarray, quadrature: str):
-    """K^T Y(t) K at each time in turn, Y = C Q C + S P S + C R S + S R^T C
-    from blocks folded with D in K's row order, r=None for R = 0; the
-    momentum model swaps C and S (see `_phases`) and negates R."""
+def _batch(n_pix: int) -> int:
+    """Times in one batch of samples: their two phase rows and four
+    n_pix x n_pix arrays fill one step of _CHUNK_BYTES."""
+    return _rows(8 * n_pix * (2 + 4 * n_pix))
+
+
+def _half_models(q, p, r, basis, times: np.ndarray, quadrature: str):
+    """(lo, K^T Y(t)) for each batch of times from times[lo] in turn, K^T Y
+    of shape (batch, n_pix, n_pix), from blocks folded with D in K's row
+    order, r=None for R = 0.  Y = C Q C + S P S + C R S + S R^T C is built
+    as c_k u_kl + s_k v_kl, with u = Q c_l + R s_l and v = P s_l + R^T c_l;
+    the momentum model swaps C and S (see `_phases`) and negates R."""
     if r is not None and quadrature != FIELD:
         r = -r
     bxt, byt = (b.T for b in basis.axes)
     omegas = _kron(basis)[1]
-    chunk = _rows(5 * 8 * omegas.size)   # as the fit's phase chunk
-    for lo in range(0, times.size, chunk):
-        cos_t, sin_t = _phases(omegas, times[lo:lo + chunk], quadrature)
-        for c, s in zip(cos_t, sin_t):
-            y = c[:, None] * q * c + s[:, None] * p * s
-            if r is not None:
-                cr = c[:, None] * r * s
-                y += cr
-                y += cr.T
-            yield _conjugate(y, bxt, byt)
-        del cos_t, sin_t, c, s   # rows c and s hold the chunk too
+    batch = _batch(omegas.size)
+    for lo in range(0, times.size, batch):
+        c, s = _phases(omegas, times[lo:lo + batch], quadrature)
+        u, v = q * c[:, None, :], p * s[:, None, :]
+        if r is not None:
+            u += r * s[:, None, :]
+            v += r.T * c[:, None, :]
+        u *= c[:, :, None]
+        v *= s[:, :, None]
+        u += v
+        del c, s, v
+        u = _half(u, bxt, byt)
+        yield lo, u
+        del u   # not held beside the next batch
+
+
+def _pixel_observable(q, p, r, basis, times: np.ndarray, quadrature: str):
+    """K^T Y(t) K at each time in turn, as K^T (K^T Y)^T: Y is symmetric
+    (see `_half_models`)."""
+    bxt, byt = (b.T for b in basis.axes)
+    for _, half in _half_models(q, p, r, basis, times, quadrature):
+        yield from _half(half.transpose(0, 2, 1), bxt, byt)
 
 
 def _available_memory() -> int:
@@ -269,8 +301,8 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
     each sample's upper triangle, in np.triu_indices order.  Packed samples
     larger than available memory raise ValueError before anything is
     allocated.  They are all it counts: beyond them `fit_covariance`'s
-    working set is O(n_pix^2) plus one phase chunk of _CHUNK_BYTES, at any
-    number of times.
+    working set is O(n_pix^2) plus one step of _CHUNK_BYTES, at any number
+    of times.
     """
     if gamma0.labelling != MOMENTUM:
         raise ValueError("synthesis starts from a momentum-space covariance")
@@ -296,8 +328,10 @@ def synth_two_point(gamma0: CovarianceMatrix, basis, derived: DerivedParams,
         y = c * q * c + s * p * s      # (n_times, n_modes): Y(t) = diag(y(t))
         del c, s                       # not held beside the samples
         dg = d[:, None] * basis.sampled
-        cols = _rows(8 * basis.n_modes)   # pair columns whose factor fills one step
-        rows = _rows(8 * cols)            # times whose block of packed fills one step
+        # blocks of pair columns whose factor fills one step, and of times
+        # whose rows of y fill one step (one block of all times peaked higher
+        # by about the size of y)
+        cols = rows = _rows(8 * basis.n_modes)
         for lo in range(0, n_pairs, cols):
             # entries (i, j) of every sample: sum_m y_m(t) dg[m, i] dg[m, j]
             w = dg[:, iu[lo:lo + cols]] * dg[:, ju[lo:lo + cols]]
@@ -332,62 +366,14 @@ def suggested_times(basis) -> np.ndarray:
     return np.arange(int(np.ceil(span / dt)) + 1) * dt
 
 
-def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> ReconstructionResult:
-    """Least-squares recovery of (Q~, P~, R~) at t=0 from a two-point series.
-
-    The normal equations of every mode pair are built from Gram sums and
-    from right-hand sides accumulated one sample at a time in K's row order
-    (module docstring), gathered to mode order once, then solved in
-    one batch of 4 x 4 systems; diagonal and degenerate pairs pin the
-    antisymmetric part of R~ to zero (R~_mn = R~_nm).  `condition` is the
-    largest cond(A) over all pairs.  Raises RankDeficiencyError if any
-    pair's cond(A^T A) reaches RANK_COND.  Neither pass reads G; beyond
-    the series the working set is O(n_pix^2) plus one chunk of phases.
-
-    `residual_rms` takes a second pass, modelling each sample from the fitted
-    (Q~, P~, R~) as synthesis does.  The one-pass identity |y - A x|^2 =
-    y^T y - 2 x^T A^T y + x^T A^T A x, summed in the A^T y loop, cannot stand
-    in for it: its terms cancel to round-off.  On the noiseless 10 x 10
-    Dirichlet series it came out negative, -1.2e-27, a residual rms of
-    4.9e-18 by magnitude where the two passes give 3.4e-26.
-    """
-    if series.n_pixels != basis.grid.n_pixels:
-        raise ValueError("series pixel count does not match the basis grid")
-    field_quadrature = series.quadrature == FIELD
-    d, d_inv = _mode_prefactors(basis, derived)
-    if not field_quadrature:   # swap D and D^-1 (and cos and sin); R~ is negated below
-        d, d_inv = d_inv, d
-    omegas, n = basis.omegas, basis.n_modes
-    n_pix, times = series.n_pixels, series.times
-    kron, kron_omegas = _kron(basis)
-    unpack = _unpack_index(n_pix)
-    chunk = _rows(5 * 8 * n_pix)   # a chunk's five phase arrays fill one step
-
-    # Gram sums such as (C^2)^T C^2 over the columns f = (c_m c_n, s_m s_n,
-    # c_m s_n, s_m c_n), a chunk of times at a time, and right-hand sides
-    # sum_t f_i Y~_kl(t), from Y~(t) = K M(t) K^T one sample at a time, all
-    # in K's row order
-    sums = np.zeros((9, n_pix, n_pix))
+def _solve_pairs(sums: np.ndarray, d_inv: np.ndarray, omegas: np.ndarray,
+                 field_quadrature: bool):
+    """(Q~, P~, R~, largest cond(A), unidentifiable pairs) from the nine
+    mode-order sums (cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs) of
+    `fit_covariance`, the right-hand sides not yet scaled by D^-1: the
+    normal equations of every pair, solved in one batch of 4 x 4 systems."""
+    n = omegas.size
     cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs = sums
-    for lo in range(0, times.size, chunk):
-        cos_t, sin_t = _phases(kron_omegas, times[lo:lo + chunk], series.quadrature)
-        c2, s2, cs = cos_t * cos_t, sin_t * sin_t, cos_t * sin_t
-        cc += c2.T @ c2
-        ss += s2.T @ s2
-        xx += cs.T @ cs
-        c_s += c2.T @ s2
-        c_x += c2.T @ cs
-        x_s += cs.T @ s2
-        for row, c, s in zip(series.packed[lo:lo + chunk], cos_t, sin_t):
-            y = _conjugate(np.take(row, unpack).reshape(n_pix, n_pix), *basis.axes)
-            cy, sy = c[:, None] * y, s[:, None] * y
-            b_cc += cy * c
-            b_ss += sy * s
-            b_cs += cy * s
-        del cos_t, sin_t, c2, s2, cs, c, s   # rows c and s hold the chunk too
-    # to mode order once, with D^-1 on the right-hand sides: the mode-space
-    # observable is Y = D^-1 G M G^T D^-1 = D^-1 Y~[kron, kron] D^-1
-    cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs = sums[:, kron[:, None], kron]
     b_cc, b_ss, b_cs = (d_inv[:, None] * b * d_inv for b in (b_cc, b_ss, b_cs))
     # gram[m, n, i, j] = sum_t f_i f_j
     gram = np.stack([np.stack([cc, xx, c_x, c_x.T], -1),
@@ -421,16 +407,88 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     qt[iu, ju] = qt[ju, iu] = sol[:, 0]
     pt[iu, ju] = pt[ju, iu] = sol[:, 1]
     rt[iu, ju], rt[ju, iu] = sol[:, 2], sol[:, 3]
+    return qt, pt, rt, float(np.sqrt(worst)), unidentifiable
 
-    # the residual, a second pass: each sample less the model of the fitted
-    # blocks, folded with D once in K's row order
+
+def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> ReconstructionResult:
+    """Least-squares recovery of (Q~, P~, R~) at t=0 from a two-point series.
+
+    The first pass reads the Gram sums a chunk of phases at a time, and the
+    right-hand sides a batch of samples at a time, as contractions over t
+    of Y~ = K (K M)^T times one phase (module docstring), all in K's row
+    order.  They are gathered to mode order once and solved in one batch of
+    4 x 4 systems (`_solve_pairs`); diagonal and degenerate pairs pin the
+    antisymmetric part of R~ to zero (R~_mn = R~_nm).  `condition` is the
+    largest cond(A) over all pairs.  Raises RankDeficiencyError if any
+    pair's cond(A^T A) reaches RANK_COND.  Neither pass reads G; beyond
+    the series the working set is O(n_pix^2) plus one step of _CHUNK_BYTES,
+    a chunk of phases or a batch of samples, each released before the next.
+
+    `residual_rms` takes a second pass: |M - K^T Y K| = |K M - (K^T Y)^T|
+    for the model Y of the fitted (Q~, P~, R~), one half transform of each
+    sample and one of its model.  The one-pass identity |y - A x|^2 =
+    y^T y - 2 x^T A^T y + x^T A^T A x, summed in the A^T y loop, cannot stand
+    in for it: its terms cancel to round-off.  On the noiseless 10 x 10
+    Dirichlet series it came out negative, -1.2e-27, a residual rms of
+    4.9e-18 by magnitude where the two passes give 3.4e-26.
+    """
+    if series.n_pixels != basis.grid.n_pixels:
+        raise ValueError("series pixel count does not match the basis grid")
+    field_quadrature = series.quadrature == FIELD
+    d, d_inv = _mode_prefactors(basis, derived)
+    if not field_quadrature:   # swap D and D^-1 (and cos and sin); `_solve_pairs` negates R~
+        d, d_inv = d_inv, d
+    n_pix, times = series.n_pixels, series.times
+    kron, kron_omegas = _kron(basis)
+    bx, by = basis.axes
+    unpack = _unpack_index(n_pix)
+    batch = _batch(n_pix)
+
+    def samples(lo):   # the unpacked samples of the batch from time lo
+        return np.take(series.packed[lo:lo + batch], unpack, axis=1).reshape(-1, n_pix, n_pix)
+
+    # Gram sums such as (C^2)^T C^2 over the columns f = (c_m c_n, s_m s_n,
+    # c_m s_n, s_m c_n), a chunk of times at a time, then right-hand sides
+    # sum_t f_i Y~_kl(t), a batch of samples at a time, read as contractions
+    # over t of Y~ c_l and Y~ s_l, all in K's row order; Y~ = K M K^T =
+    # K (K M)^T, M being symmetric
+    sums = np.zeros((9, n_pix, n_pix))
+    cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs = sums
+    chunk = _rows(5 * 8 * n_pix)   # a chunk's five phase arrays fill one step
+    for lo in range(0, times.size, chunk):
+        c, s = _phases(kron_omegas, times[lo:lo + chunk], series.quadrature)
+        c2, s2, cs = c * c, s * s, c * s
+        del c, s
+        cc += c2.T @ c2
+        ss += s2.T @ s2
+        xx += cs.T @ cs
+        c_s += c2.T @ s2
+        c_x += c2.T @ cs
+        x_s += cs.T @ s2
+        del c2, s2, cs   # not held beside the next chunk
+    for lo in range(0, times.size, batch):
+        c, s = _phases(kron_omegas, times[lo:lo + batch], series.quadrature)
+        y = _half(_half(samples(lo), bx, by).transpose(0, 2, 1), bx, by)
+        z = y * c[:, None, :]
+        y *= s[:, None, :]
+        b_cc += np.einsum("tk,tkl->kl", c, z)
+        b_cs += np.einsum("tk,tkl->kl", c, y)
+        b_ss += np.einsum("tk,tkl->kl", s, y)
+        del c, s, y, z   # not held beside the next batch
+    # to mode order once, with D^-1 on the right-hand sides: the mode-space
+    # observable is Y = D^-1 G M G^T D^-1 = D^-1 Y~[kron, kron] D^-1
+    qt, pt, rt, condition, unidentifiable = _solve_pairs(
+        sums[:, kron[:, None], kron], d_inv, basis.omegas, field_quadrature)
+
+    # the residual, a second pass: |M - K^T Y K| = |K M - (K^T Y)^T| for the
+    # model Y of the fitted blocks, folded with D once in K's row order
     q, p, r = (_folded(m, d, basis) for m in (qt, pt, rt))
     sq = 0.0
-    for row, diff in zip(series.packed, _pixel_observable(q, p, r, basis, times,
-                                                          series.quadrature)):
-        diff -= np.take(row, unpack).reshape(n_pix, n_pix)
+    for lo, half in _half_models(q, p, r, basis, times, series.quadrature):
+        diff = _half(samples(lo), bx, by)
+        diff -= half.transpose(0, 2, 1)
         sq += float(np.vdot(diff, diff))
+        del half, diff
     return ReconstructionResult(qt=qt, pt=pt, rt=rt,
                                 residual_rms=math.sqrt(sq / (times.size * n_pix ** 2)),
-                                condition=float(np.sqrt(worst)),
-                                unidentifiable_pairs=unidentifiable)
+                                condition=condition, unidentifiable_pairs=unidentifiable)

@@ -349,6 +349,17 @@ class TestPackedStorage:
         want = np.array([row + rng.normal(0.0, 1e-3, row.size) for row in clean.packed])
         assert np.array_equal(noisy.packed, want)
 
+    def test_diagonal_synthesis_does_not_depend_on_the_blocks(self, monkeypatch):
+        # blocks of 3 pair columns and 3 times, the last of each short,
+        # write what one block of each writes
+        basis = film_basis(3, 4)
+        g0 = ga.thermal_momentum_covariance(basis, 0.3)
+        times = np.linspace(0.0, 0.1, 8)
+        want = rc.synth_two_point(g0, basis, DERIVED, times).packed
+        monkeypatch.setattr(rc, "_CHUNK_BYTES", 3 * 8 * basis.n_modes)
+        got = rc.synth_two_point(g0, basis, DERIVED, times).packed
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_full_samples_round_trip(self):
         basis = film_basis(3, 3)
         g0 = ga.thermal_momentum_covariance(basis, 0.3)
@@ -412,6 +423,22 @@ class TestPackedStorage:
         want = np.sqrt(sq / series.samples.size)
         assert want > 0.1 * sigma
         assert abs(result.residual_rms - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_half_transform_twice_is_the_kron_conjugation(self, grid):
+        # K (K M)^T = K M K^T for K = Bx (x) By and a symmetric M, one
+        # matrix or a stack, with K square even where n_modes < n_pix
+        nx, ny, spec = self.GRIDS[grid]
+        basis = film_basis(nx, ny, spec)
+        bx, by = basis.axes
+        k = np.kron(bx, by)
+        m = np.random.default_rng(2).normal(size=(3, nx * ny, nx * ny))
+        m += m.transpose(0, 2, 1)
+        got = rc._half(rc._half(m, bx, by).transpose(0, 2, 1), bx, by)
+        want = k @ m @ k.T
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        one = rc._half(rc._half(m[1], bx, by).T, bx, by)
+        assert np.max(np.abs(one - want[1])) <= 1e-14 * np.max(np.abs(want[1]))
 
     def test_fit_working_set_does_not_grow_with_times(self):
         # beyond the series it reads, the fit holds O(n_pix^2) numbers and
@@ -582,6 +609,45 @@ class TestFit:
         monkeypatch.setattr(type(basis), "sampled", property(refused))
         got = rc.fit_covariance(series, basis, DERIVED)
         assert np.array_equal(got.qt, want.qt) and got.residual_rms == want.residual_rms
+
+    def test_fit_never_calls_pixel_observable(self, monkeypatch):
+        # both passes read the samples through half transforms; the dense
+        # model generator is synthesis's alone
+        basis = film_basis(3, 4, ly=3.7e-3)
+        g0 = squeezed_covariance(basis)
+        series = rc.synth_two_point(g0, basis, DERIVED, rc.suggested_times(basis))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_covariance called _pixel_observable")
+
+        monkeypatch.setattr(rc, "_pixel_observable", refuse)
+        result = rc.fit_covariance(series, basis, DERIVED)
+        assert np.max(np.abs(result.gamma().data - g0.data)) <= 1e-8 * np.max(np.abs(g0.data))
+
+    @pytest.mark.parametrize("per_batch", [1, 3])
+    def test_fit_does_not_depend_on_the_batch_size(self, monkeypatch, per_batch):
+        # batches of 1 and 3 samples, whose edges do not fall on the edges
+        # of the phase chunks the Gram sums are read in, give the fit made
+        # in batches sized from the default step, on a noisy series with R~ != 0
+        basis = film_basis(3, 4, ly=3.7e-3)
+        n_pix = basis.grid.n_pixels
+        g0 = squeezed_covariance(basis)
+        times = rc.suggested_times(basis)
+        clean = rc.synth_two_point(g0, basis, DERIVED, times)
+        series = rc.synth_two_point(g0, basis, DERIVED, times, seed=7,
+                                    noise_sigma=1e-3 * np.max(np.abs(clean.packed)))
+        want = rc.fit_covariance(series, basis, DERIVED)
+        sample = 8 * n_pix * (2 + 4 * n_pix)   # a sample's share of a batch
+        monkeypatch.setattr(rc, "_CHUNK_BYTES", sample * per_batch + sample // 2)
+        chunk = rc._rows(5 * 8 * n_pix)
+        assert rc._batch(n_pix) == per_batch and times.size > chunk
+        assert per_batch == 1 or chunk % per_batch   # a batch straddles two chunks
+        got = rc.fit_covariance(series, basis, DERIVED)
+        for block in ("qt", "pt", "rt"):
+            w, g = getattr(want, block), getattr(got, block)
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+        assert abs(got.residual_rms - want.residual_rms) <= 1e-12 * want.residual_rms
+        assert got.unidentifiable_pairs == want.unidentifiable_pairs
 
     def test_noiseless_residual_stays_zero_as_times_grow(self):
         basis = film_basis(3, 3)
