@@ -441,8 +441,7 @@ def _selector_indices(gamma: CovarianceMatrix, selector) -> np.ndarray:
     if idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):   # not bool, not float
         raise ValueError(f"a selection must be nonempty integer indices, got {idx.size} "
                          f"of dtype {idx.dtype}")
-    if not mask:   # a mask's indices() come sorted from np.flatnonzero
-        idx = np.sort(idx)
+    idx = np.sort(idx)
     if np.any(idx[1:] == idx[:-1]):
         raise ValueError("selection contains repeated indices")
     if idx[0] < 0 or idx[-1] >= gamma.n:

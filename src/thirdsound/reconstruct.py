@@ -444,8 +444,8 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     unpack = _unpack_index(n_pix)
     batch = _batch(n_pix)
 
-    def samples(lo):   # the unpacked samples of the batch from time lo
-        return np.take(series.packed[lo:lo + batch], unpack, axis=1).reshape(-1, n_pix, n_pix)
+    def samples(lo, n):   # the n unpacked samples from time lo
+        return np.take(series.packed[lo:lo + n], unpack, axis=1).reshape(-1, n_pix, n_pix)
 
     # Gram sums such as (C^2)^T C^2 over the columns f = (c_m c_n, s_m s_n,
     # c_m s_n, s_m c_n), a chunk of times at a time, then right-hand sides
@@ -468,7 +468,7 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
         del c2, s2, cs   # not held beside the next chunk
     for lo in range(0, times.size, batch):
         c, s = _phases(kron_omegas, times[lo:lo + batch], series.quadrature)
-        y = _half(_half(samples(lo), bx, by).transpose(0, 2, 1), bx, by)
+        y = _half(_half(samples(lo, batch), bx, by).transpose(0, 2, 1), bx, by)
         z = y * c[:, None, :]
         y *= s[:, None, :]
         b_cc += np.einsum("tk,tkl->kl", c, z)
@@ -485,7 +485,7 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     q, p, r = (_folded(m, d, basis) for m in (qt, pt, rt))
     sq = 0.0
     for lo, half in _half_models(q, p, r, basis, times, series.quadrature):
-        diff = _half(samples(lo), bx, by)
+        diff = _half(samples(lo, half.shape[0]), bx, by)   # the batch `_half_models` yields
         diff -= half.transpose(0, 2, 1)
         sq += float(np.vdot(diff, diff))
         del half, diff

@@ -674,23 +674,6 @@ class TestRestrict:
         with pytest.raises(ValueError):
             ga.restrict(self.gr, np.array([], dtype=int))
 
-    def test_mask_selection_takes_no_sort(self, monkeypatch):
-        # a mask's indices come sorted from np.flatnonzero; an index array,
-        # here the same pixels reversed, is still sorted
-        mask = RegionMask.from_rect(self.grid, 1, 1, 2, 3)
-        want = ga.restrict(self.gr, mask).data
-        sorts, real = [], np.sort
-
-        def counted(*args, **kwargs):
-            sorts.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ga.np, "sort", counted)
-        assert np.array_equal(ga.restrict(self.gr, mask).data, want)
-        assert sorts == []
-        assert np.array_equal(ga.restrict(self.gr, mask.indices()[::-1]).data, want)
-        assert sorts == [1]
-
     def test_momentum_mask_rejected(self):
         gm = ga.thermal_momentum_covariance(self.basis, 0.3)
         with pytest.raises(ValueError):
