@@ -26,7 +26,12 @@ building it: a loop over small sets, such as tile against tile, never
 holds an n_pixels^2 block.  The certified mutual information never reads
 P and inverts nothing (``_LogDets``): it reads a union of whole pixel
 columns from neither block (below), any other small set from Q, and a
-large one from X on its complement.
+large one from X on its complement.  Inside a box that leaves a ring of
+pixels, X is read from the channel inverses Bx^T diag(1/a(., my)) Bx
+(``ModeBasis.pixel_block``), so only a batch whose pairs use every pixel,
+such as the full area sweep, gathers X and may build it.  The map of each
+pixel's MI with the rest of a set (``local_information``) reads diag Q,
+diag X and X's ring rows, and builds neither block.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -498,7 +503,10 @@ class _LogDets:
     (2013)).  C is the ring R of pixels outside the box plus the set's
     complement D in the box.  R is eliminated once, into the |R| x |B|
     factor F = L^-1 W_RB, L = chol(W_RR), and each D takes its own Schur
-    complement Z_DD = W_DD - F_D^T F_D, so det W_CC = det W_RR det Z_DD.  On
+    complement Z_DD = W_DD - F_D^T F_D, so det W_CC = det W_RR det Z_DD.  X's
+    ring rows and each X_DD come from the channel inverses
+    Bx^T diag(1/a(., my)) Bx (``ModeBasis.pixel_block``), so a box with a
+    ring never builds X; without one, X_DD is read by ``_on``.  On
     Neumann, Q_S = M_S - c u_S u_S^T and M^-1 u = u / c, so the determinant
     lemma (Sherman & Morrison, Ann. Math. Stat. 21, 124 (1950)) adds
     ln(u_C^T W_CC^-1 u_C / c), where u_C^T W_CC^-1 u_C = beta + w_D^T Z_DD^-1 w_D
@@ -513,17 +521,14 @@ class _LogDets:
         self.place = np.zeros(n_pixels, dtype=int)   # each box pixel's place in the box
         self.place[box] = np.arange(box.size)
         self.small = 2 * box.size <= n_pixels   # its Q is read once, and each set sliced
-        self.q = self.grams = self.base = None   # each read on first use
+        self.q = self.grams = self.inverses = self.base = None   # each read on first use
 
     def reduced(self, idx: np.ndarray) -> float:
         k, n, pos, ny = idx.size, self.box.size, self.place[idx], self.gamma.basis.grid.ny
         out = 0.5 * math.log1p(-k * self.flat)   # P's share
         if _whole_columns(idx, ny):
-            if self.grams is None:   # C_my / c by (my, i, j), from w[mx, my] = a(mx, my) / c
-                bx = self.gamma.basis.axes[0]
-                w = np.zeros((bx.shape[0], ny))
-                w.flat[self.gamma.basis.kron] = self.gamma._weights[Q] / self.c
-                self.grams = (bx.T * w.T.copy()[:, None, :]) @ bx
+            if self.grams is None:   # C_my / c by (my, i, j)
+                self.grams = self.gamma.basis.channels(self.gamma._weights[Q] / self.c)
             cols = idx[::ny] // ny
             return out + _half_log_det(_cholesky(self.grams[:, cols[:, None], cols]), 1.0)
         if self.small or 2 * k <= n:
@@ -539,8 +544,10 @@ class _LogDets:
         rest = np.flatnonzero(rest)   # D, by its places in the box
         if not rest.size:
             return out + (0.5 * math.log(self.beta / self.c) if self.flat else 0.0)
-        f = self.f[:, rest]
-        z = self.gamma._on(X, self.box[rest]) + self.shift - f.T @ f
+        f, d = self.f[:, rest], self.box[rest]
+        x = (self.gamma._on(X, d) if self.inverses is None else
+             self.gamma.basis.pixel_block(self.inverses, d, d))
+        z = x + self.shift - f.T @ f
         if not self.flat:
             return out + _half_log_det(_cholesky(z), self.c)
         # Z_DD bordered by w_D and a corner above w_D^T Z_DD^-1 w_D <= |w_D|^2 max(a, c):
@@ -565,12 +572,14 @@ class _LogDets:
         ring = np.setdiff1d(np.arange(n_pixels), box, assume_unique=True)
         f = np.empty((0, box.size + 1))
         if ring.size:
-            x = self.gamma._stored(X)
-            chol = _cholesky(x[np.ix_(ring, ring)] + self.shift)
+            self.inverses = self.gamma.basis.channels(self.gamma._weights[X])
+            rows = self.gamma.basis.pixel_block(self.inverses, ring, np.concatenate([ring, box]))
+            chol = _cholesky(rows[:, :ring.size] + self.shift)
             self.base += _half_log_det(chol, self.c)
             rhs = np.empty((ring.size, box.size + 1))
-            rhs[:, :-1] = x[np.ix_(ring, box)] + self.shift
+            rhs[:, :-1] = rows[:, ring.size:] + self.shift
             rhs[:, -1] = math.sqrt(self.flat)
+            del rows
             f = np.linalg.solve(chol, rhs)   # L^-1 (W_RB, u_R), one solve per box
         self.f, self.fu, self.beta = f[:, :-1], f[:, -1], float(f[:, -1] @ f[:, -1])
 
@@ -624,6 +633,38 @@ def mutual_information_batch(gamma: CovarianceMatrix, pairs):
 
     values = [entropy(a) + entropy(b) - entropy(_union(a, b)) for a, b in sets]
     return np.maximum(values, 0.0), route
+
+
+def local_information(gamma: CovarianceMatrix, selector) -> np.ndarray:
+    """I(p : S \\ p) in nats, clamped at zero, for each pixel p of a pixel set
+    S, in index order, on a certified state stored by its mode weights whose
+    certificate covers S; any other state raises ValueError.
+    ``mutual_information_batch`` of the pairs ({p}, S \\ p) stays the oracle.
+
+    Since det Q_S\\p = det Q_S (Q_S^-1)_pp, the classical MI is
+    1/2 ln(Q_pp (Q_S^-1)_pp) plus P's closed-form share
+    1/2 ln((1 - 1/N)(1 - (|S| - 1)/N) / (1 - |S|/N)), which is 0 off Neumann.
+    The ring R, the lattice less S, is eliminated as in ``_LogDets``, so
+    Z = M_S^-1 has diag Z = diag W_SS less the squared column norms of
+    F = L^-1 W_RS.  On Neumann Q_S = M_S - c u_S u_S^T, and Sherman-Morrison
+    adds c (Z u_S)_p^2 / (1 - c u_S^T Z u_S) = w_p^2 / beta: Z u_S = w / c,
+    w = u_S - F^T f_u, and 1 - c u_S^T Z u_S = beta / c by the determinant
+    lemma.  diag Q and diag X on S come from ``ModeBasis.pixel_diagonal``:
+    past the thin factor the work is O(|R| |S|), and neither Q nor X is built."""
+    idx = _selector_indices(gamma, selector)
+    if gamma._weights is None or entropy_route(gamma, 1, idx.size).name != "classical":
+        raise ValueError("local information in closed form needs a certified state "
+                         "stored by its mode weights")
+    reader = _LogDets(gamma, idx)
+    reader._eliminate_ring()
+    f, flat, diagonal = reader.f, reader.flat, gamma.basis.pixel_diagonal
+    inverse = diagonal(gamma._weights[X])[idx] + reader.shift - np.einsum("ij,ij->j", f, f)
+    if flat:
+        w = math.sqrt(flat) - reader.fu @ f
+        inverse += w * w / reader.beta
+    k = idx.size
+    share = math.log1p(-flat) + math.log1p(-(k - 1) * flat) - math.log1p(-k * flat)   # P's
+    return np.maximum(0.5 * (np.log(diagonal(gamma._weights[Q])[idx] * inverse) + share), 0.0)
 
 
 def mutual_information(gamma: CovarianceMatrix, a, b) -> float:

@@ -270,6 +270,41 @@ class ModeBasis:
         x *= np.sqrt(weights)
         return x, np.take(by.T, my, axis=1)
 
+    def _grid(self, weights: np.ndarray) -> np.ndarray:
+        """Mode weights on the (mx, my) grid of Bx (x) By, 0 where the basis
+        lacks the mode."""
+        w = np.zeros((self.axes[0].shape[0], self.axes[1].shape[0]))
+        w.flat[self.kron] = weights
+        return w
+
+    def channels(self, weights: np.ndarray) -> np.ndarray:
+        """The (ny, nx, nx) stack of channel blocks C_my = Bx^T diag(w(., my)) Bx,
+        one per transverse mode my: G^T diag(weights) G is
+        sum_my (By[my]^T By[my]) (x) C_my."""
+        bx = self.axes[0]
+        return (bx.T * self._grid(weights).T.copy()[:, None, :]) @ bx
+
+    def pixel_diagonal(self, weights: np.ndarray) -> np.ndarray:
+        """diag(G^T diag(weights) G) by pixel, (Bx o Bx)^T w (By o By)."""
+        bx, by = self.axes
+        return ((bx * bx).T @ self._grid(weights) @ (by * by)).ravel()
+
+    def pixel_block(self, channels: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+        """Rows `rows` and columns `cols` (pixel indices) of
+        sum_my (By[my]^T By[my]) (x) C_my for a stack C of ``channels``: entry
+        ((i, a), (j, b)) is sum_my By[my, a] By[my, b] C_my[i, j].  It takes
+        |rows| m ny^2 multiply-adds, m the number of pixel columns that `cols`
+        touches, and holds no n_pixels^2 array."""
+        by = self.axes[1]
+        ny = by.shape[0]
+        ix, iy = np.divmod(rows, ny)
+        xs, at = np.unique(cols // ny, return_inverse=True)
+        t = channels.transpose(1, 2, 0)[ix[:, None], xs]   # (row, column j, my): C_my[i, j]
+        t *= by.T[iy][:, None, :]
+        t = (t.reshape(-1, ny) @ by).reshape(rows.size, -1)   # (row, (column j, b))
+        return t[:, at * ny + cols % ny]
+
     def orthonormality_defect(self) -> float:
         g = self.sampled
         return float(np.max(np.abs(g @ g.T - np.eye(self.n_modes))))
@@ -289,9 +324,7 @@ class ModeBasis:
         """
         bx, by = self.axes
         nx, ny = bx.shape[0], by.shape[0]
-        w = np.zeros((nx, ny))
-        w.flat[self.kron] = weights
-        ty = np.einsum("xy,ya,yb->xab", w, by, by, optimize=True)          # (mx, a, b)
+        ty = np.einsum("xy,ya,yb->xab", self._grid(weights), by, by, optimize=True)   # (mx, a, b)
         t = np.tensordot(bx[:, :, None] * bx[:, None, :], ty, axes=(0, 0))   # (i, j, a, b)
         out = t.reshape(nx, ny, nx, ny)                                      # (i, a, j, b)
         for i in range(nx):

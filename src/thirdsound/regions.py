@@ -8,18 +8,20 @@ vertices (a diagonal pixel contact contributes two corners).  Subsystem
 pairs are always separated by a buffer of at least one pixel ring so that
 A and B never touch.
 
-Each protocol hands all its pairs to ``gaussian.mutual_information_batch``,
+Each sweep hands all its pairs to ``gaussian.mutual_information_batch``,
 which reads a certified state's entropies as log-dets on the pixels the
 pairs use, the box.  A set of at most half the box is factored from Q on
-its own.  A larger one (A u B, an area-sweep B, the rest of the map's
-interior) is read through its complement from Q's closed-form inverse
-G^T diag(1/a) G, lifted along the flat null vector on a Neumann lattice;
-an interior box (the map, the interior sweeps) eliminates the outer pixel
-ring from that inverse once, into a thin factor of ring rows by box
-columns, from which each complement takes its own Schur complement.  A set
-of whole columns (every set of the full-height volume sweep, an area
-sweep's B beside a full-height A) reads neither block: its log-det splits
-into one problem per transverse mode on its columns.
+its own.  A larger one (A u B, an area-sweep B) is read through its
+complement from Q's closed-form inverse G^T diag(1/a) G, lifted along the
+flat null vector on a Neumann lattice; an interior box (the interior
+sweeps) eliminates the outer pixel ring from that inverse once, into a thin
+factor of ring rows by box columns, from which each complement takes its
+own Schur complement.  A set of whole columns (every set of the full-height
+volume sweep, an area sweep's B beside a full-height A) reads neither
+block: its log-det splits into one problem per transverse mode on its
+columns.  The map on the classical route takes no pairs: each pixel's value
+is 1/2 ln(Q_pp (Q_I^-1)_pp) plus P's share, with diag Q_I^-1 read from the
+same thin ring factor of its interior I (``gaussian.local_information``).
 """
 
 from __future__ import annotations
@@ -254,13 +256,18 @@ def mi_map(gamma) -> np.ndarray:
     """Local-information map: for every interior pixel p, the MI between
     {p} and the rest of the interior.  The outer pixel ring is excluded
     from the analysis (it keeps subsystem boundary statistics constant)
-    and reported as NaN.
+    and reported as NaN.  On the classical route (``map_route``) the map is
+    ``gaussian.local_information`` in closed form; any other state takes the
+    per-pair ``gaussian.mutual_information_batch``, which stays its oracle.
     """
     grid = gamma.basis.grid
     interior = _interior(grid)
-    pairs = ((interior[i:i + 1], np.delete(interior, i)) for i in range(interior.size))
     out = np.full((grid.nx, grid.ny), np.nan)
-    out.ravel()[interior] = gaussian.mutual_information_batch(gamma, pairs)[0]
+    if map_route(gamma).name == "classical":
+        out.ravel()[interior] = gaussian.local_information(gamma, interior)
+    else:
+        pairs = ((interior[i:i + 1], np.delete(interior, i)) for i in range(interior.size))
+        out.ravel()[interior] = gaussian.mutual_information_batch(gamma, pairs)[0]
     return out
 
 

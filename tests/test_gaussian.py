@@ -389,16 +389,15 @@ class TestStateStorage:
                   run_area_sweep(gr, 6).route]
         mi_map(gr)
         assert {route.name for route in routes} == {"classical"}
-        # Q and its inverse X, once each; never P
-        assert sorted(self.square_arrays(gr, gr.n)) == ["_q", "_x"] and gr._p is None
-        assert len(weights) == 2 and {id(w) for w in weights} == {
-            id(gr._weights[ga.Q]), id(gr._weights[ga.X])}
+        # every set is gathered, read from the channels or read in closed form
+        assert self.square_arrays(gr, gr.n) == [] and weights == []
 
         d_eta = ga._mode_prefactors(basis, DERIVED)[1]
         b = d_eta * gm.diagonals[1] * d_eta
         assert gr.p_block.tobytes() == to_pixels(basis, b).tobytes()
+        assert len(weights) == 1 and weights[0] is gr._weights[ga.P]   # once, on the first read
         assert gr.data[gr.n:, gr.n:].tobytes() == gr.p_block.tobytes()
-        assert len(weights) == 3 and weights[-1] is gr._weights[ga.P]   # once, on the first read
+        assert len(weights) == 2 and weights[1] is gr._weights[ga.Q]   # data builds Q, keeps P
 
     def test_to_real_space_holds_no_block(self):
         # the state keeps mode weights and axis rows, (nx + ny) n_modes

@@ -200,6 +200,25 @@ class TestBuildBasis:
         assert np.array_equal(basis.sampled, np.kron(bx, by)[basis.kron])
         assert sorted(basis.kron) == list(range(spec.kind.value == "neumann", 15))
 
+    @pytest.mark.parametrize("shape", [(5, 3), (7, 6)], ids=["5x3", "7x6"])
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_channel_reads_match_dense_product(self, spec, shape):
+        # diagonals and blocks of G^T diag(w) G read from the column channels
+        basis = build_basis(Grid(5e-3, 4e-3, *shape), spec, linear_dispersion)
+        w = np.random.default_rng(2).uniform(0.5, 2.0, basis.n_modes)
+        g = basis.sampled
+        dense = g.T @ (w[:, None] * g)
+        tol = 1e-14 * np.max(np.abs(dense))
+        assert np.max(np.abs(basis.pixel_diagonal(w) - np.diag(dense))) <= tol
+        channels = basis.channels(w)
+        assert channels.shape == (shape[1], shape[0], shape[0])
+        rng = np.random.default_rng(3)
+        for rows, cols in ((np.arange(3), np.arange(basis.grid.n_pixels)),
+                           (rng.permutation(basis.grid.n_pixels)[:6], np.array([4, 1, 9, 2]))):
+            got = basis.pixel_block(channels, rows, cols)
+            assert np.max(np.abs(got - dense[np.ix_(rows, cols)])) <= tol
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_non_positive_or_non_finite_omega_rejected(self, bad):
         def dispersion(k):

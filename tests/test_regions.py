@@ -415,11 +415,12 @@ class TestEntropyRoutes:
 
 class TestComplementRoute:
     """With np.linalg.inv refused, every classical protocol matches exact MI.
-    The area sweeps, the interior volume sweep and the map read their large
-    sets from the closed-form inverse of Q: at 20 x 20 and 17 x 9 the
-    complements are gathered from the axis rows of 1/a before that inverse
-    is built, and the interior boxes eliminate a ring.  The full-height
-    volume sweep reads its whole columns from the column channels."""
+    The area sweeps and the interior volume sweep read their large sets from
+    the closed-form inverse of Q: on the whole lattice the complements are
+    gathered from the axis rows of 1/a before that inverse is built, and the
+    interior boxes eliminate a ring.  The map reads each value in closed form
+    from the ring's factor.  The full-height volume sweep reads its whole
+    columns from the column channels."""
 
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
@@ -525,7 +526,7 @@ class TestColumnChannels:
                      if protocol.endswith("volume") else
                      rg.run_area_sweep(gamma, 4, include_cell_boundary=include))
             assert sweep.route.name == "classical"
-        assert len(readers) == 1 and readers[0].grams is None
+        assert len(readers) == 1 and readers[0].grams is None and gamma._x is None
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_area_sweep_reads_a_whole_column_b_from_channels(self, spec, monkeypatch):
@@ -565,6 +566,65 @@ class TestColumnChannels:
             tracemalloc.stop()
         assert sweep.route.name == "classical" and len(sweep.raw_points) == 46
         assert peak < gamma.n ** 2 * 8 / 8, peak   # an eighth of one n_pixels^2 block
+
+
+class TestLocalInformation:
+    """On the classical route the map is in closed form, 1/2 ln(Q_pp (Q_I^-1)_pp)
+    plus P's share, from one thin factor of the ring outside the interior I:
+    it takes no per-pair pass and builds neither Q nor X."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (20, 20), (17, 9)], ids=["16x16", "20x20", "17x9"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_map_matches_per_pair_batch(self, spec, shape, monkeypatch):
+        grid = Grid(5e-3, 3.7e-3, *shape)
+        interior = rg._interior(grid)
+        pairs = [(interior[i:i + 1], np.delete(interior, i)) for i in range(interior.size)]
+        want, route = ga.mutual_information_batch(thermal_state(grid, spec), pairs)
+        monkeypatch.setattr(ga, "mutual_information_batch",
+                            _refused("gaussian.mutual_information_batch"))
+        field = rg.mi_map(thermal_state(grid, spec))
+        assert route.name == "classical" and np.all(want > 0)
+        assert np.max(np.abs(field.ravel()[interior] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind.value)
+    def test_48x48_map_holds_no_block(self, spec, monkeypatch):
+        gamma = thermal_state(Grid(5e-3, 5e-3, 48, 48), spec)
+        monkeypatch.setattr(ModeBasis, "to_pixels", _refused("ModeBasis.to_pixels"))
+        monkeypatch.setattr(np.linalg, "inv", _refused("np.linalg.inv"))
+        tracemalloc.start()
+        try:
+            field = rg.mi_map(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gamma._q is None and gamma._x is None
+        assert peak < gamma.n ** 2 * 8 / 2, peak   # half of one n_pixels^2 block
+        assert np.all(field[1:-1, 1:-1] > 0.1)
+
+    @pytest.mark.parametrize("protocol", ["full-volume", "interior-volume", "full-area",
+                                          "interior-area", "map"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_only_whole_lattice_batches_build_x(self, spec, protocol):
+        # X is built only by CovarianceMatrix._on, for a batch whose pairs use
+        # every pixel once its complements' gathers would cost more than
+        # building X: of the 20 x 20 protocols, the full area sweep alone.  An
+        # interior box reads X's ring rows and its complements' blocks from the
+        # channel inverses, and the map reads diagonals besides
+        gamma = thermal_state(Grid(5e-3, 3.7e-3, 20, 20), spec)
+        if protocol == "map":
+            rg.mi_map(gamma)
+        else:
+            include = protocol.startswith("full")
+            sweep = (rg.run_volume_sweep(gamma, include_cell_boundary=include)
+                     if protocol.endswith("volume") else
+                     rg.run_area_sweep(gamma, 36, include_cell_boundary=include))
+            assert sweep.route.name == "classical"
+        assert (gamma._x is not None) == (protocol == "full-area")
+
+    def test_uncertified_state_rejected(self):
+        gamma = thermal_state(Grid(5e-3, 5e-3, 6, 6), BoundarySpec.dirichlet(), 0.0)
+        with pytest.raises(ValueError, match="needs a certified state"):
+            ga.local_information(gamma, rg._interior(gamma.basis.grid))
 
 
 def _exact_entropy(gamma, idx):
