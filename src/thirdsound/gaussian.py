@@ -16,22 +16,23 @@ lattice, so neither it nor any restriction of it ever holds a 2n x 2n
 matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
 once for Q~ and P~.  On the pixel lattice it holds the mode weights a of
 Q and b of P, and each whole block is built from them, exactly symmetric,
-on its first whole read.  A certified state also keeps Q's axis rows,
-(nx + ny) n_modes numbers, and the weights 1/a of X = G^T diag(1/a) G,
-Q's inverse in closed form (its pseudo-inverse on Neumann, whose G lacks
-the flat mode).  Each pixel set S of Q, P or X (``restrict``, a mutual
-information) is gathered from the block's axis rows as W W^T, W of shape
-|S| x n_modes, until the block's gathers would have cost more than
-building it: a loop over small sets, such as tile against tile, never
-holds an n_pixels^2 block.  The certified mutual information never reads
-P and inverts nothing (``_LogDets``): it reads a union of whole pixel
-columns from neither block (below), any other small set from Q, and a
-large one from X on its complement.  Inside a box that leaves a ring of
-pixels, X is read from the channel inverses Bx^T diag(1/a(., my)) Bx
-(``ModeBasis.pixel_block``), so only a batch whose pairs use every pixel,
-such as the full area sweep, gathers X and may build it.  The map of each
-pixel's MI with the rest of a set (``local_information``) reads diag Q,
-diag X and X's ring rows, and builds neither block.
+on its first whole read.  A certified state also keeps the weights 1/a of
+X = G^T diag(1/a) G, Q's inverse in closed form (its pseudo-inverse on
+Neumann, whose G lacks the flat mode), and one channel stack per block
+(below), ny nx^2 numbers: Q's from the start, P's and X's from their first
+read.  Each pixel set S of Q, P or X (``restrict``, a mutual information)
+is read from the block's stack (``ModeBasis.pixel_block``) until the
+block's reads would have cost more than building it: a loop over small
+sets, such as tile against tile, never holds an n_pixels^2 block.  The
+certified mutual information never reads P and inverts nothing
+(``_LogDets``): it reads a union of whole pixel columns from Q's stack
+(below), any other small set from Q, and a large one from X on its
+complement.  Inside a box that leaves a ring of pixels, every read of X
+comes from X's stack directly, so only a batch whose pairs use every
+pixel, such as the full area sweep, reads X through ``_on`` and may build
+it.  The map of each pixel's MI with the rest of a set
+(``local_information``) reads diag Q, diag X and X's ring rows, and builds
+neither block.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -86,9 +87,12 @@ C_my = Bx^T diag(a(., my)) Bx of nx x nx.  This is the reduction of strip
 entropies to 1-D fields of mass ~ k_y (Casini & Huerta, J. Phys. A 42,
 504007 (2009)).  A certified mutual information reads each of its sets
 that is a union of whole columns (every set of a full-height volume sweep,
-an area sweep's B beside a full-height A) from the (ny, nx, nx) stack of
-C_my, built once, by one batched Cholesky per set; a batch of such sets
-alone builds, gathers and slices no pixel-space block.
+an area sweep's B beside a full-height A) from the state's (ny, nx, nx)
+stack of C_my by one batched Cholesky per set; a batch of such sets alone
+builds, gathers and slices no pixel-space block.  Any pixel set S of a
+block is sum_my (By[my, S_y]^T By[my, S_y]) * C_my[S_x, S_x], entrywise,
+which ``ModeBasis.pixel_block`` contracts in |S| m ny^2 multiply-adds, m
+the pixel columns S touches.
 """
 
 from __future__ import annotations
@@ -185,16 +189,16 @@ class CovarianceMatrix:
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
     def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None,
-               weights=None, rows=None) -> "CovarianceMatrix":
+               weights=None, stack=None) -> "CovarianceMatrix":
         """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
         as its vector; R only when nonzero; Q and P as None with their mode
         weights {Q: a, P: b} (and X's, 1/a, on a certified state) when each
-        is built on its first whole read, and with Q's axis rows when sets
-        are gathered from axis rows."""
+        is built on its first whole read, and with Q's channel stack when sets
+        are read from channel stacks."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
         self._q, self._p, self._x, self._weights = q, p, None, weights
-        self._rows = None if rows is None else {Q: rows}   # the others made on first use
+        self._stacks = None if stack is None else {Q: stack}   # the others built on first use
         self._gathered = {Q: 0, P: 0, X: 0}   # multiply-adds each block's gathers have spent
         self._r = r if r is not None and r.any() else None
         for block in (q, p, self._r):
@@ -253,28 +257,30 @@ class CovarianceMatrix:
             getattr(self, k).setflags(write=False)
         return getattr(self, k)
 
+    def _stack(self, k: str) -> np.ndarray:
+        """Block k's (ny, nx, nx) channel stack (``ModeBasis.channels``) on a
+        certified state, Q's kept from ``to_real_space`` and the others built
+        on first use."""
+        if k not in self._stacks:
+            self._stacks[k] = self.basis.channels(self._weights[k])
+        return self._stacks[k]
+
     def _on(self, k: str, box: np.ndarray) -> np.ndarray:
         """Block k on an index set S.  While a certified state's block is
-        unbuilt, a proper subset S is gathered as W W^T, W = X[ix_S] * Y[iy_S]
-        from the block's axis rows, Q's stored and the others' made on first
-        use, for 1/2 |S| (|S| + 1) n_modes multiply-adds.  The first S that
-        would take the block's gathers past nx^3 ny^2, the cost of building
-        it, builds it instead (ski rental: a run of sets never costs more than
-        twice the cheaper plan); every later S is sliced from the block, or
-        is it."""
-        if getattr(self, k) is None and self._rows is not None and box.size < self.n:
-            cost = box.size * (box.size + 1) // 2 * self.basis.n_modes
+        unbuilt, a proper subset S is read from the block's channel stack by
+        ``ModeBasis.pixel_block``, for |S| m ny^2 multiply-adds, m the pixel
+        columns S touches, and symmetrised, (B + B^T) / 2, so that it is exactly
+        symmetric.  The first S that would take the block's gathers past
+        nx^3 ny^2, the cost of building it, builds it instead (ski rental: a
+        run of sets never costs more than twice the cheaper plan); every later
+        S is sliced from the block, or is it."""
+        if getattr(self, k) is None and self._stacks is not None and box.size < self.n:
+            ny = self.basis.grid.ny
+            cost = box.size * np.count_nonzero(np.bincount(box // ny)) * ny ** 2
             if self._gathered[k] + cost <= self.n ** 2 * self.basis.grid.nx:   # nx^3 ny^2
                 self._gathered[k] += cost
-                if k not in self._rows:
-                    self._rows[k] = self.basis.axis_rows(self._weights[k])
-                x, y = self._rows[k]
-                ix, iy = np.divmod(box, len(y))
-                w = y[iy]
-                ends = (np.flatnonzero(np.diff(ix)) + 1).tolist()
-                for lo, hi in zip([0] + ends, ends + [box.size]):
-                    w[lo:hi] *= x[ix[lo]]   # in place: one |S| x n_modes array at a time
-                return w @ w.T   # syrk, exactly symmetric
+                block = self.basis.pixel_block(self._stack(k), box, box)
+                return 0.5 * (block + block.T)
         block = self._stored(k)
         return block if box.size == self.n else block[np.ix_(*[box] * block.ndim)]
 
@@ -316,8 +322,8 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     keeps the mode weights of Q and P, from which each block is built axis by
     axis on its first whole read.  On a basis that lacks no mode but the flat
     Neumann one it carries its nu_floor, P's spread delta, X's weights 1/a,
-    and Q's axis rows (``ModeBasis.axis_rows``), from which small sets of Q
-    are gathered.
+    and Q's channel stack (``ModeBasis.channels``), ny nx^2 numbers, from
+    which small sets and unions of whole columns of Q are read.
     Any other goes through the dense G products and ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
@@ -333,7 +339,7 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
             None, None, None, REAL, basis, floor, spread,
             {Q: a, P: b} if floor is None else {Q: a, P: b, X: 1.0 / a},
-            None if floor is None else basis.axis_rows(a))
+            None if floor is None else basis.channels(a))
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
                for m, left, right in ((gamma.q_block, d_phi, d_phi),
@@ -443,11 +449,11 @@ def _selector_indices(gamma: CovarianceMatrix, selector) -> np.ndarray:
     if mask and (gamma.labelling != REAL or selector.grid != getattr(gamma.basis, "grid", None)):
         raise ValueError("a pixel mask selects from a real-space covariance on its own grid only")
     idx = np.asarray(selector.indices() if mask else selector)
-    if idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):   # not bool, not float
+    if idx.size == 0 or idx.dtype.kind not in "iu":   # not bool, not float
         raise ValueError(f"a selection must be nonempty integer indices, got {idx.size} "
                          f"of dtype {idx.dtype}")
     idx = np.sort(idx)
-    if np.any(idx[1:] == idx[:-1]):
+    if (idx[1:] == idx[:-1]).any():
         raise ValueError("selection contains repeated indices")
     if idx[0] < 0 or idx[-1] >= gamma.n:
         raise ValueError("selection out of range")
@@ -489,11 +495,12 @@ class _LogDets:
     P's closed-form share 1/2 ln det Pi_S (module docstring).
 
     Each set picks its own read.  A union of whole pixel columns takes one
-    batched Cholesky of its blocks of the channel Grams C_my / c (module
-    docstring), built on the first such set, with a(mx, my) = 0 for the
-    flat Neumann mode G lacks.  Any other set is factored from Q_S when it
-    is at most half the box, as ``_on`` reads it, or when the box is at most
-    half the lattice, sliced from the box's Q, read on the first such set.
+    batched Cholesky of its blocks of the channel Grams C_my in Q's stack
+    (module docstring), with a(mx, my) = 0 for the flat Neumann mode G
+    lacks, and 1/c in the log-det's scale.  Any other set is factored from
+    Q_S when it is at most half the box, as ``_on`` reads it, or when the
+    box is at most half the lattice, sliced from the box's Q, read on the
+    first such set.
     A larger set is read through its complement C in the lattice, from
     M^-1 = W = X + u u^T / c in closed form, where M = Q + c u u^T, u is the
     flat unit vector, and the u terms are kept only on a Neumann lattice,
@@ -504,7 +511,7 @@ class _LogDets:
     complement D in the box.  R is eliminated once, into the |R| x |B|
     factor F = L^-1 W_RB, L = chol(W_RR), and each D takes its own Schur
     complement Z_DD = W_DD - F_D^T F_D, so det W_CC = det W_RR det Z_DD.  X's
-    ring rows and each X_DD come from the channel inverses
+    ring rows and each X_DD come from X's stack of channel inverses
     Bx^T diag(1/a(., my)) Bx (``ModeBasis.pixel_block``), so a box with a
     ring never builds X; without one, X_DD is read by ``_on``.  On
     Neumann, Q_S = M_S - c u_S u_S^T and M^-1 u = u / c, so the determinant
@@ -521,20 +528,19 @@ class _LogDets:
         self.place = np.zeros(n_pixels, dtype=int)   # each box pixel's place in the box
         self.place[box] = np.arange(box.size)
         self.small = 2 * box.size <= n_pixels   # its Q is read once, and each set sliced
-        self.q = self.grams = self.inverses = self.base = None   # each read on first use
+        self.q = self.base = None   # each read on first use
 
     def reduced(self, idx: np.ndarray) -> float:
         k, n, pos, ny = idx.size, self.box.size, self.place[idx], self.gamma.basis.grid.ny
         out = 0.5 * math.log1p(-k * self.flat)   # P's share
         if _whole_columns(idx, ny):
-            if self.grams is None:   # C_my / c by (my, i, j)
-                self.grams = self.gamma.basis.channels(self.gamma._weights[Q] / self.c)
             cols = idx[::ny] // ny
-            return out + _half_log_det(_cholesky(self.grams[:, cols[:, None], cols]), 1.0)
+            grams = self.gamma._stack(Q)[:, cols[:, None], cols]   # C_my by (my, i, j)
+            return out + _half_log_det(_cholesky(grams), 1.0 / self.c)
         if self.small or 2 * k <= n:
             if self.small and self.q is None:
                 self.q = self.gamma._on(Q, self.box)
-            q = self.gamma._on(Q, idx) if self.q is None else self.q[np.ix_(pos, pos)]
+            q = self.gamma._on(Q, idx) if self.q is None else self.q[pos[:, None], pos]
             return out + _half_log_det(_cholesky(q), 1.0 / self.c)
         if self.base is None:
             self._eliminate_ring()
@@ -545,8 +551,8 @@ class _LogDets:
         if not rest.size:
             return out + (0.5 * math.log(self.beta / self.c) if self.flat else 0.0)
         f, d = self.f[:, rest], self.box[rest]
-        x = (self.gamma._on(X, d) if self.inverses is None else
-             self.gamma.basis.pixel_block(self.inverses, d, d))
+        x = (self.gamma.basis.pixel_block(self.gamma._stack(X), d, d) if len(self.f) else
+             self.gamma._on(X, d))   # from X's stack, as its ring rows, when a ring is left
         z = x + self.shift - f.T @ f
         if not self.flat:
             return out + _half_log_det(_cholesky(z), self.c)
@@ -572,8 +578,8 @@ class _LogDets:
         ring = np.setdiff1d(np.arange(n_pixels), box, assume_unique=True)
         f = np.empty((0, box.size + 1))
         if ring.size:
-            self.inverses = self.gamma.basis.channels(self.gamma._weights[X])
-            rows = self.gamma.basis.pixel_block(self.inverses, ring, np.concatenate([ring, box]))
+            rows = self.gamma.basis.pixel_block(self.gamma._stack(X), ring,
+                                                np.concatenate([ring, box]))
             chol = _cholesky(rows[:, :ring.size] + self.shift)
             self.base += _half_log_det(chol, self.c)
             rhs = np.empty((ring.size, box.size + 1))
@@ -591,7 +597,7 @@ def _half_log_det(chol: np.ndarray, scale: float) -> float:
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = np.sort(np.concatenate([a, b]))
-    if np.any(union[1:] == union[:-1]):
+    if (union[1:] == union[:-1]).any():
         raise ValueError("regions A and B overlap")
     return union
 

@@ -329,8 +329,9 @@ class TestChecksRunWhereStatesEnter:
 
     @pytest.mark.parametrize("state", ["thermal", "squeezed"])
     def test_restrict_stores_read_only_gathers(self, state):
-        # a thermal state's unbuilt Q and P are gathered from axis rows, to
-        # round-off of the built slice; once built, every set is sliced
+        # a thermal state's unbuilt Q and P are read from their channel
+        # stacks, to round-off of the built slice; once built, every set is
+        # sliced
         gr = self.real_state(state)
         idx = np.array([5, 0, 9, 2])
         first = ga.restrict(gr, idx)
@@ -400,7 +401,7 @@ class TestStateStorage:
         assert len(weights) == 2 and weights[1] is gr._weights[ga.Q]   # data builds Q, keeps P
 
     def test_to_real_space_holds_no_block(self):
-        # the state keeps mode weights and axis rows, (nx + ny) n_modes
+        # the state keeps mode weights and Q's channel stack, ny nx^2
         # doubles: an eager Q or P would add a whole n_pixels^2 block
         basis = film_basis(24, 24)
         gm = ga.thermal_momentum_covariance(basis, 0.3)
@@ -428,8 +429,8 @@ def tiles(grid, size=3):
 
 
 class TestQGather:
-    """Certified MI on small pixel sets reads Q_S from the axis rows; Q is
-    built when the gathers would cost more than building it."""
+    """Certified MI on small pixel sets reads Q_S from Q's channel stack; Q
+    is built when the gathers would cost more than building it."""
 
     @pytest.mark.parametrize("shape", [(24, 24), (17, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
     @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
@@ -456,19 +457,21 @@ class TestQGather:
 
     def test_builds_q_where_gathers_would_cost_more(self, built):
         # 8 x 8: building Q costs 8^3 8^2 = 32,768 multiply-adds, a 10-pixel
-        # gather 55 * 64 = 3,520, so nine gather and the tenth builds
+        # gather 10 m 8^2 = 640 m on the m columns it touches; the first seven
+        # touch 6, 8, 6, 6, 7, 7 and 7 (30,080 in all) and the eighth 5
+        # (33,280), so seven gather and the eighth builds
         basis = film_basis(8, 8)
         gm = ga.thermal_momentum_covariance(basis, 0.3)
         gr = ga.to_real_space(gm, basis, DERIVED)
         rng = np.random.default_rng(3)
         boxes = [np.sort(rng.choice(gr.n, 10, replace=False)) for _ in range(14)]
-        gathered = [gr._on(ga.Q, box) for box in boxes[:9]]
+        gathered = [gr._on(ga.Q, box) for box in boxes[:7]]
         assert built == []
-        assert all(np.array_equal(q, q.T) for q in gathered)   # syrk
-        gr._on(ga.Q, boxes[9])
+        assert all(np.array_equal(q, q.T) for q in gathered)   # symmetrised
+        gr._on(ga.Q, boxes[7])
         assert len(built) == 1
         q = gr.q_block
-        for box in boxes[9:]:
+        for box in boxes[7:]:
             assert gr._on(ga.Q, box).tobytes() == q[np.ix_(box, box)].tobytes()
         assert len(built) == 1
         for box, got in zip(boxes, gathered):
@@ -476,18 +479,73 @@ class TestQGather:
 
     @pytest.mark.parametrize("box", ["whole", "interior"])
     def test_large_box_builds_q_at_once(self, built, box):
-        basis = film_basis(8, 8)
+        # 4 x 12: building Q costs 4^3 12^2 = 9,216 multiply-adds; the
+        # 30-pixel interior touches 3 columns, a gather of 30 * 3 * 12^2 =
+        # 12,960 (on a square grid no proper subset costs more than the build)
+        basis = film_basis(4, 12)
         gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
         idx = (np.arange(gr.n) if box == "whole" else
-               RegionMask.from_columns(basis.grid, 1, 7, 1, 7).indices())
+               RegionMask.from_columns(basis.grid, 1, 4, 1, 11).indices())
         got = gr._on(ga.Q, idx)
         assert len(built) == 1
         assert got.tobytes() == gr.q_block[np.ix_(idx, idx)].tobytes()
 
 
+class TestChannelGather:
+    """A certified state reads each small set of Q, P and X from the block's
+    channel stack, symmetrised, and holds one stack per block."""
+
+    @pytest.mark.parametrize("shape", [(24, 24), (17, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
+                                      BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
+    def test_gather_matches_built_block(self, built, spec, shape):
+        basis = film_basis(*shape, spec)
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        gr, dense = (ga.to_real_space(gm, basis, DERIVED) for _ in range(2))
+        rng = np.random.default_rng(11)
+        centre, others = tiles(basis.grid)
+        sets = [np.sort(rng.choice(gr.n, size, replace=False)) for size in (1, 4, 12, 30)]
+        sets += [np.union1d(centre, other) for other in others[:3]]
+        for k in (ga.Q, ga.P, ga.X):
+            gathered = [gr._on(k, idx) for idx in sets]
+            assert built == [] and getattr(gr, k) is None   # every set gathered
+            block = dense._stored(k)
+            scale = np.max(np.abs(block))
+            for idx, got in zip(sets, gathered):
+                assert np.array_equal(got, got.T)
+                assert np.max(np.abs(got - block[np.ix_(idx, idx)])) <= 1e-14 * scale
+            del built[:]
+        for idx in sets:
+            sub = ga.restrict(gr, idx)
+            for got in (sub.q_block, sub.p_block):
+                assert not got.flags.writeable
+            assert sub.q_block.tobytes() == gr._on(ga.Q, idx).tobytes()
+            assert sub.p_block.tobytes() == gr._on(ga.P, idx).tobytes()
+
+    def test_one_stack_per_block(self, monkeypatch):
+        basis = film_basis(24, 24)
+        weights = []
+        channels = ModeBasis.channels
+        monkeypatch.setattr(ModeBasis, "channels",
+                            lambda self, w: weights.append(w) or channels(self, w))
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
+        centre, others = tiles(basis.grid)
+        for other in others:
+            ga.mutual_information(gr, centre, other)
+        routes = [run_volume_sweep(gr).route, run_area_sweep(gr, 36).route]
+        mi_map(gr)
+        assert {route.name for route in routes} == {"classical"}
+        # Q's stack from to_real_space, X's from the area sweep's complements;
+        # P is never read
+        counts = {k: sum(w is gr._weights[k] for w in weights) for k in (ga.Q, ga.P, ga.X)}
+        assert counts == {ga.Q: 1, ga.P: 0, ga.X: 1} and len(weights) == 2
+        assert not hasattr(ModeBasis, "axis_rows")
+
+
 class TestRestrictGathers:
     """``restrict`` reads Q_S and P_S as every pixel set is read: gathered
-    from axis rows while that costs less than building the block."""
+    from the block's channel stack while that costs less than building the
+    block."""
 
     @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
                                       BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
@@ -510,18 +568,19 @@ class TestRestrictGathers:
 
     def test_p_gathers_past_the_budget_build_p_once(self, built):
         # 24 x 24: building P costs 24^5 = 7,962,624 multiply-adds, a
-        # 100-pixel gather 5,050 * 576 = 2,908,800, so two gather and the
-        # third builds
+        # 100-pixel gather 100 m 24^2 on the m columns it touches; the first
+        # five touch 24, 24, 24, 24 and 23 (6,854,400 in all) and the sixth
+        # 24 (8,236,800), so five gather and the sixth builds
         basis = film_basis(24, 24)
         gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
         rng = np.random.default_rng(5)
-        boxes = [np.sort(rng.choice(gr.n, 100, replace=False)) for _ in range(5)]
-        gathered = [gr._on(ga.P, box) for box in boxes[:2]]
+        boxes = [np.sort(rng.choice(gr.n, 100, replace=False)) for _ in range(8)]
+        gathered = [gr._on(ga.P, box) for box in boxes[:5]]
         assert built == []
-        sliced = [gr._on(ga.P, box) for box in boxes[2:]]
+        sliced = [gr._on(ga.P, box) for box in boxes[5:]]
         assert len(built) == 1 and built[0] is gr._weights[ga.P] and gr._q is None
         p = gr.p_block
-        for box, got in zip(boxes[2:], sliced):
+        for box, got in zip(boxes[5:], sliced):
             assert got.tobytes() == p[np.ix_(box, box)].tobytes()
         for box, got in zip(boxes, gathered):
             assert np.max(np.abs(got - p[np.ix_(box, box)])) <= 1e-14 * np.max(p)
@@ -883,7 +942,7 @@ class TestCertifiedClassicalRoute:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_batch_factors_q_alone(self, spec, monkeypatch):
         # nothing is inverted; each whole-column set, and no other, takes a
-        # stack of its columns' blocks of the channel Grams C_my / c; every
+        # stack of its columns' blocks of the channel Grams C_my; every
         # other factor of a classical batch is of a principal submatrix of Q
         # (small sets), of the closed-form inverse W = X + u u^T / c of
         # M = Q + c u u^T (u terms on Neumann only), read through complements
@@ -903,8 +962,8 @@ class TestCertifiedClassicalRoute:
         w_box = c * z_box.sum(axis=1) / math.sqrt(n)
         tol = 1e-10 * np.max(np.abs(z_box))
         bx, ny = gr.basis.axes[0], gr.basis.grid.ny
-        grams = np.zeros((ny, bx.shape[0], bx.shape[0]))   # C_my / c, one mode at a time
-        for weight, (mx, my) in zip(gr._weights[ga.Q] / c, zip(*np.divmod(gr.basis.kron, ny))):
+        grams = np.zeros((ny, bx.shape[0], bx.shape[0]))   # C_my, one mode at a time
+        for weight, (mx, my) in zip(gr._weights[ga.Q], zip(*np.divmod(gr.basis.kron, ny))):
             grams[my] += weight * np.outer(bx[mx], bx[mx])
         reading, factored = [], []
         reduced, cholesky = ga._LogDets.reduced, ga._cholesky

@@ -417,7 +417,7 @@ class TestComplementRoute:
     """With np.linalg.inv refused, every classical protocol matches exact MI.
     The area sweeps and the interior volume sweep read their large sets from
     the closed-form inverse of Q: on the whole lattice the complements are
-    gathered from the axis rows of 1/a before that inverse is built, and the
+    gathered from its channel stack before that inverse is built, and the
     interior boxes eliminate a ring.  The map reads each value in closed form
     from the ring's factor.  The full-height volume sweep reads its whole
     columns from the column channels."""
@@ -514,10 +514,11 @@ class TestColumnChannels:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_other_protocols_keep_log_dets(self, spec, protocol, monkeypatch):
         gamma = thermal_state(Grid(5e-3, 3.7e-3, 12, 7), spec)
-        readers = []
-        logdets = ga._LogDets
+        readers, factored = [], []
+        logdets, cholesky = ga._LogDets, ga._cholesky
         monkeypatch.setattr(ga, "_LogDets",
                             lambda g, box: readers.append(logdets(g, box)) or readers[-1])
+        monkeypatch.setattr(ga, "_cholesky", lambda m: factored.append(m.ndim) or cholesky(m))
         if protocol == "map":
             rg.mi_map(gamma)
         else:
@@ -526,7 +527,8 @@ class TestColumnChannels:
                      if protocol.endswith("volume") else
                      rg.run_area_sweep(gamma, 4, include_cell_boundary=include))
             assert sweep.route.name == "classical"
-        assert len(readers) == 1 and readers[0].grams is None and gamma._x is None
+        # no set is read from the column channels, which take a stack of factors
+        assert len(readers) == 1 and 3 not in factored and gamma._x is None
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_area_sweep_reads_a_whole_column_b_from_channels(self, spec, monkeypatch):
@@ -607,9 +609,11 @@ class TestLocalInformation:
     def test_only_whole_lattice_batches_build_x(self, spec, protocol):
         # X is built only by CovarianceMatrix._on, for a batch whose pairs use
         # every pixel once its complements' gathers would cost more than
-        # building X: of the 20 x 20 protocols, the full area sweep alone.  An
-        # interior box reads X's ring rows and its complements' blocks from the
-        # channel inverses, and the map reads diagonals besides
+        # building X: of the 20 x 20 protocols only the full area sweep gathers
+        # X, 2,800,000 multiply-adds against 20^3 20^2 = 3,200,000 for the
+        # build, so none builds it.  An interior box reads X's ring rows and
+        # its complements' blocks from X's channel stack, and the map reads
+        # diagonals besides
         gamma = thermal_state(Grid(5e-3, 3.7e-3, 20, 20), spec)
         if protocol == "map":
             rg.mi_map(gamma)
@@ -619,7 +623,7 @@ class TestLocalInformation:
                      if protocol.endswith("volume") else
                      rg.run_area_sweep(gamma, 36, include_cell_boundary=include))
             assert sweep.route.name == "classical"
-        assert (gamma._x is not None) == (protocol == "full-area")
+        assert gamma._x is None
 
     def test_uncertified_state_rejected(self):
         gamma = thermal_state(Grid(5e-3, 5e-3, 6, 6), BoundarySpec.dirichlet(), 0.0)
