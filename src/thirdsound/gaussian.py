@@ -15,24 +15,20 @@ the full matrix are assembled on demand (``q_block``, ``p_block``,
 lattice, so neither it nor any restriction of it ever holds a 2n x 2n
 matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
 once for Q~ and P~.  On the pixel lattice it holds the mode weights a of
-Q and b of P, and each whole block is built from them, exactly symmetric,
-on its first whole read.  A certified state also keeps the weights 1/a of
+Q and b of P, and a certified state also the weights 1/a of
 X = G^T diag(1/a) G, Q's inverse in closed form (its pseudo-inverse on
-Neumann, whose G lacks the flat mode), and one channel stack per block
-(below), ny nx^2 numbers: Q's from the start, P's and X's from their first
-read.  Each pixel set S of Q, P or X (``restrict``, a mutual information)
-is read from the block's stack (``ModeBasis.pixel_block``) until the
-block's reads would have cost more than building it: a loop over small
-sets, such as tile against tile, never holds an n_pixels^2 block.  The
-certified mutual information never reads P and inverts nothing
-(``_LogDets``): it reads a union of whole pixel columns from Q's stack
-(below), any other small set from Q, and a large one from X on its
-complement.  Inside a box that leaves a ring of pixels, every read of X
-comes from X's stack directly, so only a batch whose pairs use every
-pixel, such as the full area sweep, reads X through ``_on`` and may build
-it.  The map of each pixel's MI with the rest of a set
-(``local_information``) reads diag Q, diag X and X's ring rows, and builds
-neither block.
+Neumann, whose G lacks the flat mode).  Q and P are built from their
+weights, exactly symmetric, only by a read of the whole block (``q_block``,
+``p_block``, ``data``, or a restriction to every pixel); X never is.  Every
+proper pixel set S of an unbuilt Q, P or X (``restrict``, a mutual
+information) is read from the block's channel stack (below), ny nx^2
+numbers built on its first read, by ``ModeBasis.pixel_block``, so no
+protocol holds an n_pixels^2 block; a built block is sliced.  The certified
+mutual information never reads P and inverts nothing (``_LogDets``): it
+reads a union of whole pixel columns from Q's stack, any other small set
+from Q, and a large one from X on its complement.  The map of each pixel's
+MI with the rest of a set (``local_information``) reads diag Q, diag X and
+X's ring rows.
 
 The momentum-to-real-space map multiplies the mode quadratures by the
 dimensionless prefactors sqrt(c/(K omega)) (field) and sqrt(K omega / c)
@@ -116,8 +112,9 @@ CLASSICAL_TOL = 1e-10  # largest certified entropy error the log-det route may c
 MODE_ERROR = 1 / 12    # 0 <= ln nu + 1 - S(nu) <= MODE_ERROR / nu^2 for nu >= 1
 NULL_TOL = 1e-6   # largest share of a block's scale a structural null may carry
 SYMMETRY_TOL = 1e-12   # largest asymmetry, relative to the largest entry
-# the blocks ``CovarianceMatrix._stored`` and ``_on`` read, by attribute: Q, P and
-# X = G^T diag(1/a) G, Q's inverse (its pseudo-inverse when G lacks the flat Neumann mode)
+# the blocks of a state stored by its mode weights, keys of its weights and channel stacks:
+# Q, P and X = G^T diag(1/a) G, Q's inverse (its pseudo-inverse when G lacks the flat
+# Neumann mode); Q and P also name the attributes that hold them once built, X never built
 Q, P, X = "_q", "_p", "_x"
 
 
@@ -189,17 +186,16 @@ class CovarianceMatrix:
         return cls.__new__(cls)._store(q, p, r, labelling, basis)
 
     def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None,
-               weights=None, stack=None) -> "CovarianceMatrix":
+               weights=None) -> "CovarianceMatrix":
         """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
         as its vector; R only when nonzero; Q and P as None with their mode
-        weights {Q: a, P: b} (and X's, 1/a, on a certified state) when each
-        is built on its first whole read, and with Q's channel stack when sets
-        are read from channel stacks."""
+        weights {Q: a, P: b} (and X's, 1/a, on a certified state), from which
+        each block is built on its first whole read and its channel stack on
+        the first read of a proper pixel set."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
-        self._q, self._p, self._x, self._weights = q, p, None, weights
-        self._stacks = None if stack is None else {Q: stack}   # the others built on first use
-        self._gathered = {Q: 0, P: 0, X: 0}   # multiply-adds each block's gathers have spent
+        self._q, self._p, self._weights = q, p, weights
+        self._stacks = {}   # each block's channel stack, built on its first read
         self._r = r if r is not None and r.any() else None
         for block in (q, p, self._r):
             if block is not None:
@@ -258,29 +254,20 @@ class CovarianceMatrix:
         return getattr(self, k)
 
     def _stack(self, k: str) -> np.ndarray:
-        """Block k's (ny, nx, nx) channel stack (``ModeBasis.channels``) on a
-        certified state, Q's kept from ``to_real_space`` and the others built
-        on first use."""
+        """Block k's (ny, nx, nx) channel stack (``ModeBasis.channels``),
+        built from its mode weights on the first call."""
         if k not in self._stacks:
             self._stacks[k] = self.basis.channels(self._weights[k])
         return self._stacks[k]
 
     def _on(self, k: str, box: np.ndarray) -> np.ndarray:
-        """Block k on an index set S.  While a certified state's block is
-        unbuilt, a proper subset S is read from the block's channel stack by
-        ``ModeBasis.pixel_block``, for |S| m ny^2 multiply-adds, m the pixel
-        columns S touches, and symmetrised, (B + B^T) / 2, so that it is exactly
-        symmetric.  The first S that would take the block's gathers past
-        nx^3 ny^2, the cost of building it, builds it instead (ski rental: a
-        run of sets never costs more than twice the cheaper plan); every later
-        S is sliced from the block, or is it."""
-        if getattr(self, k) is None and self._stacks is not None and box.size < self.n:
-            ny = self.basis.grid.ny
-            cost = box.size * np.count_nonzero(np.bincount(box // ny)) * ny ** 2
-            if self._gathered[k] + cost <= self.n ** 2 * self.basis.grid.nx:   # nx^3 ny^2
-                self._gathered[k] += cost
-                block = self.basis.pixel_block(self._stack(k), box, box)
-                return 0.5 * (block + block.T)
+        """Block Q or P on an index set S.  While a block is unbuilt, a proper
+        pixel set S is read from its channel stack by ``ModeBasis.pixel_block``
+        and symmetrised, (B + B^T) / 2, so that it is exactly symmetric; S of
+        every pixel builds the block.  A built block is sliced, or is S."""
+        if getattr(self, k) is None and box.size < self.n:
+            block = self.basis.pixel_block(self._stack(k), box, box)
+            return 0.5 * (block + block.T)
         block = self._stored(k)
         return block if box.size == self.n else block[np.ix_(*[box] * block.ndim)]
 
@@ -319,12 +306,11 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
     """Transform a mode-space covariance to pixel-lattice labelling:
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
     nonzero, R = G^T D_phi R~ D_eta G.  A state stored diagonal with R~ = 0
-    keeps the mode weights of Q and P, from which each block is built axis by
-    axis on its first whole read.  On a basis that lacks no mode but the flat
-    Neumann one it carries its nu_floor, P's spread delta, X's weights 1/a,
-    and Q's channel stack (``ModeBasis.channels``), ny nx^2 numbers, from
-    which small sets and unions of whole columns of Q are read.
-    Any other goes through the dense G products and ``from_blocks``."""
+    keeps the mode weights of Q and P and builds neither block nor channel
+    stack: each is built on its first read.  On a basis that lacks no mode
+    but the flat Neumann one it carries its nu_floor, P's spread delta and
+    X's weights 1/a.  Any other goes through the dense G products and
+    ``from_blocks``."""
     if gamma.labelling != MOMENTUM:
         raise ValueError("to_real_space expects a momentum-space covariance")
     if gamma.n != basis.n_modes:
@@ -338,8 +324,7 @@ def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> Cov
                          if flat_only and min(a.min(), b.min()) > 0 else (None, None))
         return CovarianceMatrix.__new__(CovarianceMatrix)._store(
             None, None, None, REAL, basis, floor, spread,
-            {Q: a, P: b} if floor is None else {Q: a, P: b, X: 1.0 / a},
-            None if floor is None else basis.channels(a))
+            {Q: a, P: b} if floor is None else {Q: a, P: b, X: 1.0 / a})
     g = basis.sampled
     q, p, r = (None if m is None else g.T @ (left[:, None] * m * right) @ g
                for m, left, right in ((gamma.q_block, d_phi, d_phi),
@@ -512,8 +497,8 @@ class _LogDets:
     factor F = L^-1 W_RB, L = chol(W_RR), and each D takes its own Schur
     complement Z_DD = W_DD - F_D^T F_D, so det W_CC = det W_RR det Z_DD.  X's
     ring rows and each X_DD come from X's stack of channel inverses
-    Bx^T diag(1/a(., my)) Bx (``ModeBasis.pixel_block``), so a box with a
-    ring never builds X; without one, X_DD is read by ``_on``.  On
+    Bx^T diag(1/a(., my)) Bx (``ModeBasis.pixel_block``), so no box builds
+    X.  On
     Neumann, Q_S = M_S - c u_S u_S^T and M^-1 u = u / c, so the determinant
     lemma (Sherman & Morrison, Ann. Math. Stat. 21, 124 (1950)) adds
     ln(u_C^T W_CC^-1 u_C / c), where u_C^T W_CC^-1 u_C = beta + w_D^T Z_DD^-1 w_D
@@ -551,9 +536,7 @@ class _LogDets:
         if not rest.size:
             return out + (0.5 * math.log(self.beta / self.c) if self.flat else 0.0)
         f, d = self.f[:, rest], self.box[rest]
-        x = (self.gamma.basis.pixel_block(self.gamma._stack(X), d, d) if len(self.f) else
-             self.gamma._on(X, d))   # from X's stack, as its ring rows, when a ring is left
-        z = x + self.shift - f.T @ f
+        z = self.gamma.basis.pixel_block(self.gamma._stack(X), d, d) + self.shift - f.T @ f
         if not self.flat:
             return out + _half_log_det(_cholesky(z), self.c)
         # Z_DD bordered by w_D and a corner above w_D^T Z_DD^-1 w_D <= |w_D|^2 max(a, c):

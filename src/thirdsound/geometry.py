@@ -270,12 +270,15 @@ class ModeBasis:
     def channels(self, weights: np.ndarray) -> np.ndarray:
         """The (ny, nx, nx) stack of channel blocks C_my = Bx^T diag(w(., my)) Bx,
         one per transverse mode my: G^T diag(weights) G is
-        sum_my (By[my]^T By[my]) (x) C_my.  One GEMM per channel writes into
-        the stack, so nothing else of its size is held."""
+        sum_my (By[my]^T By[my]) (x) C_my.  The weights are nonnegative, so
+        C_my = A A^T with A = Bx^T diag(sqrt(w(., my))): one symmetric rank-k
+        product per channel, half a general one's multiply-adds, writes into
+        the stack, exactly symmetric, and nothing else of its size is held."""
         bx, w = self.axes[0], self._grid(weights)
         out = np.empty((w.shape[1], bx.shape[0], bx.shape[0]))
         for my in range(w.shape[1]):
-            np.matmul(bx.T * w[:, my], bx, out=out[my])
+            a = bx.T * np.sqrt(w[:, my])
+            np.matmul(a, a.T, out=out[my])
         return out
 
     def pixel_diagonal(self, weights: np.ndarray) -> np.ndarray:

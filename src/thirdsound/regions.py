@@ -22,6 +22,8 @@ block: its log-det splits into one problem per transverse mode on its
 columns.  The map on the classical route takes no pairs: each pixel's value
 is 1/2 ln(Q_pp (Q_I^-1)_pp) plus P's share, with diag Q_I^-1 read from the
 same thin ring factor of its interior I (``gaussian.local_information``).
+Every block of Q or of its inverse that these reads take is gathered from
+the state's per-channel stacks, so no protocol builds an n_pixels^2 block.
 """
 
 from __future__ import annotations

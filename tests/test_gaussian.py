@@ -354,9 +354,9 @@ class TestChecksRunWhereStatesEnter:
 
 
 class TestStateStorage:
-    """A thermal state holds its mode weights as vectors and, on the pixel
-    lattice, one n_pixels^2 block: Q.  P is built from its weights on its
-    first read, which the certified MI route never makes."""
+    """A thermal state holds its mode weights as vectors.  On the pixel
+    lattice each n_pixels^2 block is built from them on its first whole read,
+    which no protocol makes."""
 
     @staticmethod
     def square_arrays(gamma, n):
@@ -401,8 +401,8 @@ class TestStateStorage:
         assert len(weights) == 2 and weights[1] is gr._weights[ga.Q]   # data builds Q, keeps P
 
     def test_to_real_space_holds_no_block(self):
-        # the state keeps mode weights and Q's channel stack, ny nx^2
-        # doubles: an eager Q or P would add a whole n_pixels^2 block
+        # the state keeps its mode weights alone, and its channel stacks wait
+        # for their first read: an eager Q or P would add a whole n_pixels^2 block
         basis = film_basis(24, 24)
         gm = ga.thermal_momentum_covariance(basis, 0.3)
         tracemalloc.start()
@@ -429,8 +429,8 @@ def tiles(grid, size=3):
 
 
 class TestQGather:
-    """Certified MI on small pixel sets reads Q_S from Q's channel stack; Q
-    is built when the gathers would cost more than building it."""
+    """Certified MI on small pixel sets reads Q_S from Q's channel stack and
+    never builds Q."""
 
     @pytest.mark.parametrize("shape", [(24, 24), (17, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
     @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
@@ -439,7 +439,7 @@ class TestQGather:
         basis = film_basis(*shape, spec)
         gm = ga.thermal_momentum_covariance(basis, 0.3)
         dense = ga.to_real_space(gm, basis, DERIVED)
-        dense.q_block   # built first: every set is gathered from the block
+        dense.q_block   # built first: every set is sliced from the block
         gr = ga.to_real_space(gm, basis, DERIVED)
         centre, others = tiles(basis.grid)
         assert ga.entropy_route(gr, centre.size, 2 * centre.size).name == "classical"
@@ -455,64 +455,32 @@ class TestQGather:
         want = [ga.mutual_information(dense, centre, b) for b in others]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
-    def test_builds_q_where_gathers_would_cost_more(self, built):
-        # 8 x 8: building Q costs 8^3 8^2 = 32,768 multiply-adds, a 10-pixel
-        # gather 10 m 8^2 = 640 m on the m columns it touches; the first seven
-        # touch 6, 8, 6, 6, 7, 7 and 7 (30,080 in all) and the eighth 5
-        # (33,280), so seven gather and the eighth builds
-        basis = film_basis(8, 8)
-        gm = ga.thermal_momentum_covariance(basis, 0.3)
-        gr = ga.to_real_space(gm, basis, DERIVED)
-        rng = np.random.default_rng(3)
-        boxes = [np.sort(rng.choice(gr.n, 10, replace=False)) for _ in range(14)]
-        gathered = [gr._on(ga.Q, box) for box in boxes[:7]]
-        assert built == []
-        assert all(np.array_equal(q, q.T) for q in gathered)   # symmetrised
-        gr._on(ga.Q, boxes[7])
-        assert len(built) == 1
-        q = gr.q_block
-        for box in boxes[7:]:
-            assert gr._on(ga.Q, box).tobytes() == q[np.ix_(box, box)].tobytes()
-        assert len(built) == 1
-        for box, got in zip(boxes, gathered):
-            assert np.max(np.abs(got - q[np.ix_(box, box)])) <= 1e-14 * np.max(q)
-
-    @pytest.mark.parametrize("box", ["whole", "interior"])
-    def test_large_box_builds_q_at_once(self, built, box):
-        # 4 x 12: building Q costs 4^3 12^2 = 9,216 multiply-adds; the
-        # 30-pixel interior touches 3 columns, a gather of 30 * 3 * 12^2 =
-        # 12,960 (on a square grid no proper subset costs more than the build)
-        basis = film_basis(4, 12)
-        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
-        idx = (np.arange(gr.n) if box == "whole" else
-               RegionMask.from_columns(basis.grid, 1, 4, 1, 11).indices())
-        got = gr._on(ga.Q, idx)
-        assert len(built) == 1
-        assert got.tobytes() == gr.q_block[np.ix_(idx, idx)].tobytes()
-
 
 class TestChannelGather:
-    """A certified state reads each small set of Q, P and X from the block's
-    channel stack, symmetrised, and holds one stack per block."""
+    """A certified state reads each proper pixel set of Q, P and X from the
+    block's channel stack, Q's and P's symmetrised, and holds one stack per
+    block, each built on its first read."""
 
     @pytest.mark.parametrize("shape", [(24, 24), (17, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
     @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
                                       BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
     def test_gather_matches_built_block(self, built, spec, shape):
         basis = film_basis(*shape, spec)
-        gm = ga.thermal_momentum_covariance(basis, 0.3)
-        gr, dense = (ga.to_real_space(gm, basis, DERIVED) for _ in range(2))
+        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
         rng = np.random.default_rng(11)
         centre, others = tiles(basis.grid)
         sets = [np.sort(rng.choice(gr.n, size, replace=False)) for size in (1, 4, 12, 30)]
         sets += [np.union1d(centre, other) for other in others[:3]]
-        for k in (ga.Q, ga.P, ga.X):
-            gathered = [gr._on(k, idx) for idx in sets]
-            assert built == [] and getattr(gr, k) is None   # every set gathered
-            block = dense._stored(k)
+        # Q and P through _on, symmetrised; X, read by _LogDets alone, from its stack
+        reads = {ga.Q: lambda idx: gr._on(ga.Q, idx), ga.P: lambda idx: gr._on(ga.P, idx),
+                 ga.X: lambda idx: basis.pixel_block(gr._stack(ga.X), idx, idx)}
+        for k, read in reads.items():
+            gathered = [read(idx) for idx in sets]
+            assert built == [] and gr._q is None and gr._p is None   # every set gathered
+            block = basis.to_pixels(gr._weights[k])
             scale = np.max(np.abs(block))
             for idx, got in zip(sets, gathered):
-                assert np.array_equal(got, got.T)
+                assert k == ga.X or np.array_equal(got, got.T)
                 assert np.max(np.abs(got - block[np.ix_(idx, idx)])) <= 1e-14 * scale
             del built[:]
         for idx in sets:
@@ -521,6 +489,10 @@ class TestChannelGather:
                 assert not got.flags.writeable
             assert sub.q_block.tobytes() == gr._on(ga.Q, idx).tobytes()
             assert sub.p_block.tobytes() == gr._on(ga.P, idx).tobytes()
+        # a restriction to every pixel is the one read that builds Q and P, once each
+        whole = ga.restrict(gr, np.arange(gr.n))
+        assert [w is gr._weights[k] for w, k in zip(built, (ga.Q, ga.P))] == [True, True]
+        assert len(built) == 2 and whole._q is gr._q and whole._p is gr._p
 
     def test_one_stack_per_block(self, monkeypatch):
         basis = film_basis(24, 24)
@@ -535,17 +507,25 @@ class TestChannelGather:
         routes = [run_volume_sweep(gr).route, run_area_sweep(gr, 36).route]
         mi_map(gr)
         assert {route.name for route in routes} == {"classical"}
-        # Q's stack from to_real_space, X's from the area sweep's complements;
+        # Q's stack from the first tile, X's from the area sweep's complements;
         # P is never read
         counts = {k: sum(w is gr._weights[k] for w in weights) for k in (ga.Q, ga.P, ga.X)}
         assert counts == {ga.Q: 1, ga.P: 0, ga.X: 1} and len(weights) == 2
         assert not hasattr(ModeBasis, "axis_rows")
+        # each stack waits for its first read: the map reads X's alone, the
+        # full volume sweep Q's alone
+        gm = ga.thermal_momentum_covariance(basis, 0.3)
+        for protocol, read in ((mi_map, ga.X), (run_volume_sweep, ga.Q)):
+            del weights[:]
+            gr = ga.to_real_space(gm, basis, DERIVED)
+            assert weights == []
+            protocol(gr)
+            assert len(weights) == 1 and weights[0] is gr._weights[read]
 
 
 class TestRestrictGathers:
-    """``restrict`` reads Q_S and P_S as every pixel set is read: gathered
-    from the block's channel stack while that costs less than building the
-    block."""
+    """``restrict`` reads Q_S and P_S as every proper pixel set is read:
+    gathered from the block's channel stack, with no block built."""
 
     @pytest.mark.parametrize("spec", [BoundarySpec.dirichlet(), BoundarySpec.neumann(),
                                       BoundarySpec.robin(200.0)], ids=lambda s: s.kind.value)
@@ -565,26 +545,6 @@ class TestRestrictGathers:
         dense = ga.to_real_space(gm, basis, DERIVED)
         dense.q_block, dense.p_block   # built first: the set is sliced from them
         assert got == pytest.approx(ga.von_neumann_entropy(ga.restrict(dense, idx)), abs=1e-12)
-
-    def test_p_gathers_past_the_budget_build_p_once(self, built):
-        # 24 x 24: building P costs 24^5 = 7,962,624 multiply-adds, a
-        # 100-pixel gather 100 m 24^2 on the m columns it touches; the first
-        # five touch 24, 24, 24, 24 and 23 (6,854,400 in all) and the sixth
-        # 24 (8,236,800), so five gather and the sixth builds
-        basis = film_basis(24, 24)
-        gr = ga.to_real_space(ga.thermal_momentum_covariance(basis, 0.3), basis, DERIVED)
-        rng = np.random.default_rng(5)
-        boxes = [np.sort(rng.choice(gr.n, 100, replace=False)) for _ in range(8)]
-        gathered = [gr._on(ga.P, box) for box in boxes[:5]]
-        assert built == []
-        sliced = [gr._on(ga.P, box) for box in boxes[5:]]
-        assert len(built) == 1 and built[0] is gr._weights[ga.P] and gr._q is None
-        p = gr.p_block
-        for box, got in zip(boxes[5:], sliced):
-            assert got.tobytes() == p[np.ix_(box, box)].tobytes()
-        for box, got in zip(boxes, gathered):
-            assert np.max(np.abs(got - p[np.ix_(box, box)])) <= 1e-14 * np.max(p)
-        assert len(built) == 1
 
 
 class TestSymplecticSpectrum:
@@ -955,8 +915,9 @@ class TestCertifiedClassicalRoute:
         n, q = gr.n, gr.q_block
         neumann = spec.kind.value == "neumann"
         c = gr._weights[ga.Q].sum() / n
-        x = gr._stored(ga.X)   # built first: each set of it is sliced
+        x = gr.basis.to_pixels(gr._weights[ga.X])   # read from X's stack, to round-off
         w_lattice = x + (1 / n) / c if neumann else x   # as _LogDets forms it
+        w_tol = 1e-13 * np.max(np.abs(w_lattice))
         m_box = (q + c / n if neumann else q)[1:, 1:]   # M on the lattice less pixel 0
         z_box = np.linalg.inv(m_box)
         w_box = c * z_box.sum(axis=1) / math.sqrt(n)
@@ -995,10 +956,10 @@ class TestCertifiedClassicalRoute:
             if self.principal_rows(m, q) is not None:
                 continue
             through += 1
-            if self.principal_rows(m, w_lattice) is not None:   # W_RR, or W_DD unbordered
+            if self.principal_rows(m, w_lattice, w_tol) is not None:   # W_RR, or W_DD unbordered
                 continue
             block, border = (m[:-1, :-1], m[-1, :-1]) if neumann else (m, None)
-            if self.principal_rows(block, w_lattice) is not None:
+            if self.principal_rows(block, w_lattice, w_tol) is not None:
                 assert neumann and np.all(border == 1 / math.sqrt(n)), m.shape
                 continue
             rows = self.principal_rows(block, z_box, tol)

@@ -299,6 +299,16 @@ def _refused(name):
     return refuse
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The weights of every ModeBasis.to_pixels call, each an n_pixels^2 block built."""
+    weights = []
+    to_pixels = ModeBasis.to_pixels
+    monkeypatch.setattr(ModeBasis, "to_pixels",
+                        lambda basis, w: weights.append(w) or to_pixels(basis, w))
+    return weights
+
+
 class TestEntropyRoutes:
     """Every protocol agrees with exact per-pair MI, and takes the classical
     route exactly where the certificate covers its largest set."""
@@ -332,7 +342,7 @@ class TestEntropyRoutes:
 
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     def test_whole_neumann_lattice_reads_large_sets_through_complements(
-            self, shape, spectra, monkeypatch):
+            self, shape, spectra, built, monkeypatch):
         # the area sweep's box is the whole lattice, whose Q is singular: its
         # log-det is the closed form, with no factor of the box, and every set
         # larger than half the box is read through its complement C, from one
@@ -345,8 +355,7 @@ class TestEntropyRoutes:
         for name in ("inv", "solve"):
             monkeypatch.setattr(np.linalg, name, _refused(f"np.linalg.{name}"))
         volume = rg.run_volume_sweep(gamma)
-        assert gamma._q is None and gamma._x is None
-        assert gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
+        assert built == [] and gamma._q is None and gamma._p is None
         factored.clear()
         area = rg.run_area_sweep(gamma, 36)
         n = gamma.n
@@ -417,8 +426,8 @@ class TestComplementRoute:
     """With np.linalg.inv refused, every classical protocol matches exact MI.
     The area sweeps and the interior volume sweep read their large sets from
     the closed-form inverse of Q: on the whole lattice the complements are
-    gathered from its channel stack before that inverse is built, and the
-    interior boxes eliminate a ring.  The map reads each value in closed form
+    gathered from its channel stack, and the interior boxes eliminate a
+    ring.  The map reads each value in closed form
     from the ring's factor.  The full-height volume sweep reads its whole
     columns from the column channels."""
 
@@ -466,18 +475,13 @@ class TestColumnChannels:
 
     @pytest.mark.parametrize("shape", [(20, 20), (17, 9)], ids=["20x20", "17x9"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
-    def test_full_volume_sweep_builds_and_gathers_nothing(self, spec, shape, monkeypatch):
+    def test_full_volume_sweep_builds_and_gathers_nothing(self, spec, shape, built, monkeypatch):
         gamma = thermal_state(Grid(5e-3, 3.7e-3, *shape), spec)
-        built = []
-        to_pixels = ModeBasis.to_pixels
-        monkeypatch.setattr(ModeBasis, "to_pixels",
-                            lambda basis, w: built.append(w) or to_pixels(basis, w))
         for name in ("_on", "_stored"):
             monkeypatch.setattr(ga.CovarianceMatrix, name, _refused(f"CovarianceMatrix.{name}"))
         for buffer in (1, 2):
             assert rg.run_volume_sweep(gamma, buffer=buffer).route.name == "classical"
-        assert built == [] and gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
-        assert gamma._q is None and gamma._p is None and gamma._x is None
+        assert built == [] and gamma._q is None and gamma._p is None
 
     def test_whole_columns_hand_values(self):
         ny = 3
@@ -528,7 +532,8 @@ class TestColumnChannels:
                      rg.run_area_sweep(gamma, 4, include_cell_boundary=include))
             assert sweep.route.name == "classical"
         # no set is read from the column channels, which take a stack of factors
-        assert len(readers) == 1 and 3 not in factored and gamma._x is None
+        assert len(readers) == 1 and 3 not in factored
+        assert gamma._q is None and gamma._p is None
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
     def test_area_sweep_reads_a_whole_column_b_from_channels(self, spec, monkeypatch):
@@ -547,14 +552,16 @@ class TestColumnChannels:
                                              abs=1e-10)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
-    def test_two_columns_gather_nothing(self, spec):
+    def test_two_columns_gather_nothing(self, spec, monkeypatch):
         # a box of at most half the lattice reads its Q on its first set that
         # is not whole columns, so columns 0 and 2 read no pixel-space block
         gamma = thermal_state(Grid(5e-3, 3.7e-3, 20, 20), spec)
         a, b = np.arange(20), np.arange(40, 60)
+        for name in ("to_pixels", "pixel_block"):
+            monkeypatch.setattr(ModeBasis, name, _refused(f"ModeBasis.{name}"))
         got = ga.mutual_information(gamma, a, b)
-        assert gamma._gathered == {ga.Q: 0, ga.P: 0, ga.X: 0}
-        assert gamma._q is None and gamma._x is None
+        monkeypatch.undo()
+        assert gamma._q is None and gamma._p is None
         assert got == pytest.approx(exact_mi(gamma, a, b), abs=1e-10)
 
     @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind.value)
@@ -568,6 +575,23 @@ class TestColumnChannels:
             tracemalloc.stop()
         assert sweep.route.name == "classical" and len(sweep.raw_points) == 46
         assert peak < gamma.n ** 2 * 8 / 8, peak   # an eighth of one n_pixels^2 block
+
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind.value)
+    def test_48x48_interior_volume_sweep_holds_no_block(self, spec):
+        # its sets are not whole columns: each small one is gathered from Q's
+        # stack, and each large one read through its complement from X's
+        gamma = thermal_state(Grid(5e-3, 5e-3, 48, 48), spec)
+        tracemalloc.start()
+        try:
+            sweep = rg.run_volume_sweep(gamma, include_cell_boundary=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.route.name == "classical" and len(sweep.raw_points) == 44
+        assert gamma._q is None and gamma._p is None
+        # less than one n_pixels^2 block: a set of half the box and its
+        # Cholesky factor alone take 0.39 of one
+        assert peak < gamma.n ** 2 * 8, peak
 
 
 class TestLocalInformation:
@@ -599,21 +623,19 @@ class TestLocalInformation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gamma._q is None and gamma._x is None
+        assert gamma._q is None and gamma._p is None
         assert peak < gamma.n ** 2 * 8 / 2, peak   # half of one n_pixels^2 block
         assert np.all(field[1:-1, 1:-1] > 0.1)
 
     @pytest.mark.parametrize("protocol", ["full-volume", "interior-volume", "full-area",
                                           "interior-area", "map"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
-    def test_only_whole_lattice_batches_build_x(self, spec, protocol):
-        # X is built only by CovarianceMatrix._on, for a batch whose pairs use
-        # every pixel once its complements' gathers would cost more than
-        # building X: of the 20 x 20 protocols only the full area sweep gathers
-        # X, 2,800,000 multiply-adds against 20^3 20^2 = 3,200,000 for the
-        # build, so none builds it.  An interior box reads X's ring rows and
-        # its complements' blocks from X's channel stack, and the map reads
-        # diagonals besides
+    def test_only_whole_lattice_batches_build_x(self, spec, protocol, built):
+        # no protocol builds a dense block, and X is read from its channel
+        # stack alone: a whole-lattice box (the full area sweep) reads each
+        # complement's X_DD from it, an interior box its ring rows and X_DD
+        # besides, and the map its ring rows; the full volume sweep reads
+        # whole columns from Q's stack and never reads X
         gamma = thermal_state(Grid(5e-3, 3.7e-3, 20, 20), spec)
         if protocol == "map":
             rg.mi_map(gamma)
@@ -623,12 +645,59 @@ class TestLocalInformation:
                      if protocol.endswith("volume") else
                      rg.run_area_sweep(gamma, 36, include_cell_boundary=include))
             assert sweep.route.name == "classical"
-        assert gamma._x is None
+        assert built == [] and gamma._q is None and gamma._p is None
+        assert (ga.X in gamma._stacks) == (protocol != "full-volume")
 
     def test_uncertified_state_rejected(self):
         gamma = thermal_state(Grid(5e-3, 5e-3, 6, 6), BoundarySpec.dirichlet(), 0.0)
         with pytest.raises(ValueError, match="needs a certified state"):
             ga.local_information(gamma, rg._interior(gamma.basis.grid))
+
+
+class TestNoProtocolBuildsABlock:
+    """Both sweeps, full and interior, the map and a tile loop read every set
+    from the channel stacks, in closed form or by gathers: with
+    ``ModeBasis.to_pixels`` refused, no n_pixels^2 block is built, and every
+    MI matches exact spectra."""
+
+    @pytest.mark.parametrize("shape", [(24, 24), (17, 9), (9, 17)], ids=["24x24", "17x9", "9x17"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+    def test_no_protocol_builds_a_block(self, spec, shape, monkeypatch):
+        # on a grid with ny > nx as well; the oracle takes exact spectra of a
+        # twin whose blocks are built, on every pair and on a diagonal of the
+        # 24 x 24 map
+        grid = Grid(5e-3, 3.7e-3, *shape)
+        dense = thermal_state(grid, spec)
+        dense.q_block, dense.p_block
+        gamma = thermal_state(grid, spec)
+        monkeypatch.setattr(ModeBasis, "to_pixels", _refused("ModeBasis.to_pixels"))
+        points = [point for include in (True, False)
+                  for sweep in (rg.run_volume_sweep(gamma, include_cell_boundary=include),
+                                rg.run_area_sweep(gamma, 12, include_cell_boundary=include))
+                  for point in sweep.raw_points]
+        pairs = [(point.pair.a.indices(), point.pair.b.indices()) for point in points]
+        got = [point.mi for point in points]
+        tile = lambda tx, ty: RegionMask.from_rect(grid, 3 * tx, 3 * ty, 3, 3).indices()   # noqa: E731
+        tiles = [tile(tx, ty) for tx in range(grid.nx // 3) for ty in range(grid.ny // 3)
+                 if max(tx, ty) > 1]
+        pairs += [(tile(0, 0), b) for b in tiles]
+        got += [ga.mutual_information(gamma, tile(0, 0), b) for b in tiles]
+        field = rg.mi_map(gamma).ravel()
+        assert gamma._q is None and gamma._p is None
+        monkeypatch.undo()
+        known = {}
+
+        def entropy(idx):
+            if idx.tobytes() not in known:
+                known[idx.tobytes()] = _exact_entropy(dense, idx)
+            return known[idx.tobytes()]
+
+        interior = rg._interior(grid)
+        checked = interior if grid.n_pixels < 200 else interior[::grid.ny - 1]   # a diagonal
+        pairs += [(np.array([p]), interior[interior != p]) for p in checked]
+        got += list(field[checked])
+        want = [max(entropy(a) + entropy(b) - entropy(np.union1d(a, b)), 0.0) for a, b in pairs]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-10
 
 
 def _exact_entropy(gamma, idx):
