@@ -17,6 +17,8 @@ is scanned on a fixed log grid of min(base) + kappa2, base = (N/pi) sin(pi f),
 with least-squares kappa1 and kappa3 at each point, and the projected
 gradient is bisected around the best point.  `converged` means that the rms
 minimum lies inside the scan and the bisection closed on a sign change.
+kappa3 and the rms are read from the projection's centred residual at the
+final point, which stays free of cancellation at any kappa2.
 
 Area-sweep outputs get an ordinary linear fit with an R^2 diagnostic and a
 super-linearity flag.
@@ -101,10 +103,13 @@ def fit_calabrese_curve(fractions, mi_values, n_total: int) -> CalabreseFit:
     converged = bool(0 < best < ts.size - 1 and g[best - 1] < 0 < g[best + 1])
     while converged and lo < (t := 0.5 * (lo + hi)) < hi:
         lo, hi = (t, hi) if project(t)[2] < 0 else (lo, t)
-    k1, k2 = float(project(t)[0]), float(t - base.min())
-    r = calabrese_model(f, n_total, k1, k2, 0.0) - y   # kappa3 = -mean(r), rms = std(r)
-    return CalabreseFit(kappa1=k1, kappa2=k2, kappa3=-float(r.mean()),
-                        rms=float(np.std(r)), converged=converged)
+    # kappa3 = mean(y - kappa1 ln(excess + t)), and the rms of project's centred
+    # r: a model recomputed at a kappa2 near the scan's end (1e12 min(base))
+    # would subtract terms some 1e12 times larger than the residual
+    k1, r, _ = project(t)
+    k3 = y.mean() - k1 * (np.log(t) + np.log1p(excess / t).mean())
+    return CalabreseFit(kappa1=float(k1), kappa2=float(t - base.min()), kappa3=float(k3),
+                        rms=float(np.sqrt(np.mean(r * r))), converged=converged)
 
 
 def calabrese_fit(sweep) -> CalabreseFit:

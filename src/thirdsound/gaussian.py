@@ -8,14 +8,16 @@ n..2n-1 momentum quadratures, matching Omega = (0, I; -I, 0).  Entropy is
 always in nats.  The vacuum is Gamma = I/2 and every physical state has
 symplectic eigenvalues nu >= 1/2.
 
-Storage.  A state keeps its blocks Q and P, and R only when it is
-nonzero; a diagonal block is kept as its vector, and the n x n blocks and
-the full matrix are assembled on demand (``q_block``, ``p_block``,
-``data``).  A thermal state has R = 0 in mode space and on the pixel
-lattice, so neither it nor any restriction of it ever holds a 2n x 2n
-matrix or a zero block.  In mode space it holds the n-vector n_T + 1/2,
-once for Q~ and P~.  On the pixel lattice it holds the mode weights a of
-Q and b of P, and a certified state also the weights 1/a of
+Storage.  The code that builds a state picks how it is stored, never the
+state's values.  A state keeps its blocks Q and P, and R only when it is
+nonzero, and assembles the full matrix on demand (``data``);
+``from_blocks`` keeps dense blocks.  A thermal state has R = 0 in mode
+space and on the pixel lattice, so neither it nor any restriction of it
+ever holds a 2n x 2n matrix or a zero block.  In mode space
+(``thermal_momentum_covariance``) it holds the n-vector n_T + 1/2, once for
+Q~ and P~, the one state kept as vectors (``diagonals``), whose n x n
+blocks are expanded on each read.  On the pixel lattice it holds the mode
+weights a of Q and b of P, and a certified state also the weights 1/a of
 X = G^T diag(1/a) G, Q's inverse in closed form (its pseudo-inverse on
 Neumann, whose G lacks the flat mode).  Q and P are built from their
 weights, exactly symmetric, only by a read of the whole block (``q_block``,
@@ -43,14 +45,13 @@ number ``structural_nulls`` is derived from the basis, pixels minus modes
 for a state on the whole lattice, and they are projected out of the
 spectrum rather than flagged as uncertainty violations.
 
-Checks.  A covariance is checked once, where it enters: the public
-constructors reject non-finite entries and asymmetry above SYMMETRY_TOL of
-the largest entry, and symmetrise what they keep.  A partial trace keeps the
-principal submatrices it gathers, the thermal mode state the diagonals
-it builds from checked occupations, and ``to_real_space`` the exactly
-symmetric real-space blocks of a diagonal, R = 0 mode state, without
-checking them again.  Every other real-space state is checked by
-``from_blocks``.
+Checks.  A covariance is checked once, where it enters: ``from_blocks``,
+the one public constructor, rejects non-finite entries and asymmetry above
+SYMMETRY_TOL of the largest entry, and symmetrises what it keeps.  A partial
+trace keeps the principal submatrices it gathers, the thermal mode state the
+diagonals it builds from checked occupations, and ``to_real_space`` that
+state's real-space mode weights, without checking them again.  Every other
+real-space state is checked by ``from_blocks``.
 
 Entropy takes one of two routes.  The exact one is Williamson's: with
 Gamma = L L^T, nu are the singular values of L^T Omega L (of chol(Q)^T
@@ -125,16 +126,9 @@ def _largest(block: np.ndarray, name: str) -> float:
     return scale
 
 
-def _compact(block: np.ndarray) -> np.ndarray:
-    """A square block with no nonzero entry off its diagonal as that diagonal,
-    any other as it is."""
-    diag = np.diagonal(block)
-    return diag.copy() if np.count_nonzero(block) == np.count_nonzero(diag) else block
-
-
 def _dense(block: np.ndarray) -> np.ndarray:
-    """A stored block as its n x n matrix, read-only; a diagonal kept as its
-    vector is expanded on each call."""
+    """A stored block as its n x n matrix, read-only; the thermal mode
+    state's vector is expanded on each call."""
     if block.ndim == 2:
         return block
     full = np.diag(block)
@@ -155,31 +149,23 @@ def _symmetrised(block, name: str) -> np.ndarray:
 
 
 class CovarianceMatrix:
-    """Immutable symmetric covariance matrix, stored as its Q and P blocks,
-    a diagonal one as its vector, and its R block when that is nonzero.
+    """Immutable symmetric covariance matrix, stored as its Q and P blocks
+    and its R block when that is nonzero.
 
-    ``CovarianceMatrix(data, labelling)`` checks and splits a full 2n x 2n
-    matrix; ``CovarianceMatrix.from_blocks(q, p, r, labelling)`` checks blocks.
+    ``CovarianceMatrix.from_blocks(q, p, r, labelling)`` is the one public,
+    checked constructor; it keeps dense blocks.  Only the code that builds a
+    state picks another storage (module docstring).
     """
-
-    def __init__(self, data: np.ndarray, labelling: str, basis=None):
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2:
-            raise ValueError(f"covariance must be square with even dimension, got {data.shape}")
-        data = _symmetrised(data, "covariance matrix")
-        n = data.shape[0] // 2
-        self._store(_compact(data[:n, :n].copy()), _compact(data[n:, n:].copy()),
-                    data[:n, n:].copy(), labelling, basis)
 
     @classmethod
     def from_blocks(cls, q, p, r, labelling: str, basis=None) -> "CovarianceMatrix":
-        """A covariance from its n x n blocks; r=None means R = 0."""
+        """A covariance from its n x n blocks, checked and kept dense; r=None
+        means R = 0."""
         shape = np.shape(q)
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(p) != shape or (
                 r is not None and np.shape(r) != shape):
             raise ValueError("Q, P and R must be square blocks of one shape")
-        q, p = (_compact(_symmetrised(m, f"covariance block {name}"))
-                for m, name in ((q, "Q"), (p, "P")))
+        q, p = (_symmetrised(m, f"covariance block {name}") for m, name in ((q, "Q"), (p, "P")))
         if r is not None:
             r = np.array(r, dtype=float)
             _largest(r, "covariance block R")
@@ -187,11 +173,11 @@ class CovarianceMatrix:
 
     def _store(self, q, p, r, labelling, basis, nu_floor=None, p_spread=None,
                weights=None) -> "CovarianceMatrix":
-        """Keep checked (or exactly symmetric) blocks, read-only, a diagonal one
-        as its vector; R only when nonzero; Q and P as None with their mode
-        weights {Q: a, P: b} (and X's, 1/a, on a certified state), from which
-        each block is built on its first whole read and its channel stack on
-        the first read of a proper pixel set."""
+        """Keep checked (or exactly symmetric) blocks, read-only, as given
+        (the thermal mode state's as vectors); R only when nonzero; Q and P
+        as None with their mode weights {Q: a, P: b} (and X's, 1/a, on a
+        certified state), from which each block is built on its first whole
+        read and its channel stack on the first read of a proper pixel set."""
         if labelling not in (MOMENTUM, REAL):
             raise ValueError(f"unknown labelling {labelling!r}")
         self._q, self._p, self._weights = q, p, weights
@@ -240,10 +226,9 @@ class CovarianceMatrix:
 
     @property
     def diagonals(self):
-        """(diag Q, diag P) of a state stored as diagonal blocks with R = 0, else None."""
-        if self._r is None and self._q is not None and self._q.ndim == 1 and self._p.ndim == 1:
-            return self._q, self._p
-        return None
+        """(diag Q, diag P) of the thermal mode state (or a restriction of it),
+        the one state kept as vectors, else None."""
+        return (self._q, self._p) if self._q is not None and self._q.ndim == 1 else None
 
     def _stored(self, k: str) -> np.ndarray:
         """Block k as stored, built from its mode weights on the first call
@@ -305,7 +290,7 @@ def _mode_prefactors(basis, derived: DerivedParams):
 def to_real_space(gamma: CovarianceMatrix, basis, derived: DerivedParams) -> CovarianceMatrix:
     """Transform a mode-space covariance to pixel-lattice labelling:
     Q = G^T D_phi Q~ D_phi G, P = G^T D_eta P~ D_eta G and, when R~ is
-    nonzero, R = G^T D_phi R~ D_eta G.  A state stored diagonal with R~ = 0
+    nonzero, R = G^T D_phi R~ D_eta G.  The thermal mode state (``diagonals``)
     keeps the mode weights of Q and P and builds neither block nor channel
     stack: each is built on its first read.  On a basis that lacks no mode
     but the flat Neumann one it carries its nu_floor, P's spread delta and

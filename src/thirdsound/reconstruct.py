@@ -53,28 +53,28 @@ modes G lacks; the gather back to mode order and D^-1 are applied once, to
 the sums.  Its one transform is the half transform K M on M's row index,
 By then Bx, one axis at a time (`_half`).  A sample M is exactly
 symmetric, so Y~ = K M K^T = K (K M)^T takes two of them and a transpose
-that the second reads in place.  Over a batch of times, the right-hand
-sides sum_t c_k c_l Y~_kl, sum_t c_k s_l Y~_kl and sum_t s_k s_l Y~_kl are
-contractions over t of Y~ c_l and Y~ s_l with c_k and s_k: two Hadamard
-products per sample.  Y~(t) is symmetric to round-off and is not
-symmetrised.
+that the second reads in place (`_conjugate`).  Over a batch of times, the
+right-hand sides sum_t c_k c_l Y~_kl, sum_t c_k s_l Y~_kl and
+sum_t s_k s_l Y~_kl are contractions over t of Y~ c_l and Y~ s_l with c_k
+and s_k: two Hadamard products per sample.  Y~(t) is symmetric to
+round-off and is not symmetrised.
 
 The residual compares each sample with the model Y of the fitted blocks,
 folded once into D Q~ D, D P~ D and D R~ D in K's row order: K is
-orthogonal and Y symmetric, so |M - K^T Y K| = |K M - (K^T Y)^T|, one half
-transform of the sample and one, by K^T, of the model.  Y is built as
-c_k u + s_k v with u = Q c_l + R s_l and v = P s_l + R^T c_l
-(`_half_models`).  Synthesis of a state with R~ != 0 takes the same half
-of the model and finishes it as K^T Y K = K^T (K^T Y)^T
-(`_pixel_observable`).
+orthogonal, so |M - K^T Y K| = |Y~ - Y|, and the second pass transforms
+each batch of samples as the first does, from one generator of phases and
+Y~.  Y is built as c_k u + s_k v with u = Q c_l + R s_l and
+v = P s_l + R^T c_l and is not transformed (`_model`).  Synthesis of a
+state other than the thermal one builds the same model and takes it to
+the pixel lattice as K^T Y K (`_pixel_observable`).
 
 A sample is symmetric, so a series keeps only its upper triangle: one row
 of n_pix (n_pix + 1) / 2 entries per time, in np.triu_indices(n_pix) order.
-On a diagonal state with R~ = 0, synthesis writes the packed entries (i, j)
-of every sample as the (n_times, n_modes) weights y(t) times
-dg[:, i] dg[:, j]: one GEMM per block of pair columns and of times, each
-block sized from _CHUNK_BYTES.  The fit unpacks one batch of samples at a
-time.
+On the thermal mode state (diagonal, R~ = 0), synthesis writes the packed
+entries (i, j) of every sample as the (n_times, n_modes) weights y(t)
+times dg[:, i] dg[:, j]: one GEMM per block of pair columns and of times,
+each block sized from _CHUNK_BYTES.  The fit unpacks one batch of samples
+at a time.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class ReconstructionResult:
 
 def _phases(omegas: np.ndarray, times: np.ndarray, quadrature: str):
     """cos(w_m t) and sin(w_m t), (n_times, omegas.size), swapped for the
-    momentum quadrature as `_half_models` takes them."""
+    momentum quadrature as `_model` takes them."""
     phase = np.outer(times, omegas)
     c, s = np.cos(phase), np.sin(phase)
     return (c, s) if quadrature == FIELD else (s, c)
@@ -240,44 +240,43 @@ def _half(m: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
     return (bx @ (by @ m.reshape(*lead, nx, ny, n)).reshape(*lead, nx, ny * n)).reshape(m.shape)
 
 
+def _conjugate(m: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """K M K^T for each symmetric M of a stack, K = Bx (x) By, as K (K M)^T:
+    two half transforms and a transpose that the second reads in place."""
+    return _half(_half(m, bx, by).transpose(0, 2, 1), bx, by)
+
+
 def _batch(n_pix: int) -> int:
     """Times in one batch of samples: their two phase rows and four
     n_pix x n_pix arrays fill one step of _CHUNK_BYTES."""
     return _rows(8 * n_pix * (2 + 4 * n_pix))
 
 
-def _half_models(q, p, r, basis, times: np.ndarray, quadrature: str):
-    """(lo, K^T Y(t)) for each batch of times from times[lo] in turn, K^T Y
-    of shape (batch, n_pix, n_pix), from blocks folded with D in K's row
-    order, r=None for R = 0.  Y = C Q C + S P S + C R S + S R^T C is built
-    as c_k u_kl + s_k v_kl, with u = Q c_l + R s_l and v = P s_l + R^T c_l;
-    the momentum model swaps C and S (see `_phases`) and negates R."""
-    if r is not None and quadrature != FIELD:
-        r = -r
-    bxt, byt = (b.T for b in basis.axes)
-    omegas = _kron(basis)[1]
-    batch = _batch(omegas.size)
-    for lo in range(0, times.size, batch):
-        c, s = _phases(omegas, times[lo:lo + batch], quadrature)
-        u, v = q * c[:, None, :], p * s[:, None, :]
-        if r is not None:
-            u += r * s[:, None, :]
-            v += r.T * c[:, None, :]
-        u *= c[:, :, None]
-        v *= s[:, :, None]
-        u += v
-        del c, s, v
-        u = _half(u, bxt, byt)
-        yield lo, u
-        del u   # not held beside the next batch
+def _model(q, p, r, c, s) -> np.ndarray:
+    """The model Y(t), (batch, n_pix, n_pix), at each time of a batch with
+    phases c and s (`_phases`), from blocks folded with D in K's row order,
+    r=None for R = 0.  Y = C Q C + S P S + C R S + S R^T C is built as
+    c_k u_kl + s_k v_kl, with u = Q c_l + R s_l and v = P s_l + R^T c_l; the
+    momentum model takes the swapped phases and -R."""
+    u, v = q * c[:, None, :], p * s[:, None, :]
+    if r is not None:
+        u += r * s[:, None, :]
+        v += r.T * c[:, None, :]
+    u *= c[:, :, None]
+    v *= s[:, :, None]
+    u += v
+    return u
 
 
 def _pixel_observable(q, p, r, basis, times: np.ndarray, quadrature: str):
-    """K^T Y(t) K at each time in turn, as K^T (K^T Y)^T: Y is symmetric
-    (see `_half_models`)."""
+    """K^T Y(t) K at each time in turn for the `_model` Y of folded blocks."""
+    if r is not None and quadrature != FIELD:
+        r = -r
     bxt, byt = (b.T for b in basis.axes)
-    for _, half in _half_models(q, p, r, basis, times, quadrature):
-        yield from _half(half.transpose(0, 2, 1), bxt, byt)
+    omegas, batch = _kron(basis)[1], _batch(basis.grid.n_pixels)
+    for lo in range(0, times.size, batch):
+        c, s = _phases(omegas, times[lo:lo + batch], quadrature)
+        yield from _conjugate(_model(q, p, r, c, s), bxt, byt)
 
 
 def _available_memory() -> int:
@@ -424,9 +423,10 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     the series the working set is O(n_pix^2) plus one step of _CHUNK_BYTES,
     a chunk of phases or a batch of samples, each released before the next.
 
-    `residual_rms` takes a second pass: |M - K^T Y K| = |K M - (K^T Y)^T|
-    for the model Y of the fitted (Q~, P~, R~), one half transform of each
-    sample and one of its model.  The one-pass identity |y - A x|^2 =
+    `residual_rms` takes a second pass: |M - K^T Y K| = |Y~ - Y| for the
+    model Y of the fitted (Q~, P~, R~), K being orthogonal, with Y~ read
+    as in the first pass: two half transforms of each sample and none of
+    its model.  The one-pass identity |y - A x|^2 =
     y^T y - 2 x^T A^T y + x^T A^T A x, summed in the A^T y loop, cannot stand
     in for it: its terms cancel to round-off.  On the noiseless 10 x 10
     Dirichlet series it came out negative, -1.2e-27, a residual rms of
@@ -444,14 +444,16 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     unpack = _unpack_index(n_pix)
     batch = _batch(n_pix)
 
-    def samples(lo, n):   # the n unpacked samples from time lo
-        return np.take(series.packed[lo:lo + n], unpack, axis=1).reshape(-1, n_pix, n_pix)
+    def transformed():   # (c, s, Y~ = K M K^T) for each batch of samples M in turn
+        for lo in range(0, times.size, batch):
+            c, s = _phases(kron_omegas, times[lo:lo + batch], series.quadrature)
+            yield c, s, _conjugate(np.take(series.packed[lo:lo + batch], unpack, axis=1)
+                                   .reshape(-1, n_pix, n_pix), bx, by)
 
     # Gram sums such as (C^2)^T C^2 over the columns f = (c_m c_n, s_m s_n,
     # c_m s_n, s_m c_n), a chunk of times at a time, then right-hand sides
     # sum_t f_i Y~_kl(t), a batch of samples at a time, read as contractions
-    # over t of Y~ c_l and Y~ s_l, all in K's row order; Y~ = K M K^T =
-    # K (K M)^T, M being symmetric
+    # over t of Y~ c_l and Y~ s_l, all in K's row order
     sums = np.zeros((9, n_pix, n_pix))
     cc, ss, xx, c_s, c_x, x_s, b_cc, b_ss, b_cs = sums
     chunk = _rows(5 * 8 * n_pix)   # a chunk's five phase arrays fill one step
@@ -466,9 +468,7 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
         c_x += c2.T @ cs
         x_s += cs.T @ s2
         del c2, s2, cs   # not held beside the next chunk
-    for lo in range(0, times.size, batch):
-        c, s = _phases(kron_omegas, times[lo:lo + batch], series.quadrature)
-        y = _half(_half(samples(lo, batch), bx, by).transpose(0, 2, 1), bx, by)
+    for c, s, y in transformed():
         z = y * c[:, None, :]
         y *= s[:, None, :]
         b_cc += np.einsum("tk,tkl->kl", c, z)
@@ -480,15 +480,15 @@ def fit_covariance(series: TwoPointSeries, basis, derived: DerivedParams) -> Rec
     qt, pt, rt, condition, unidentifiable = _solve_pairs(
         sums[:, kron[:, None], kron], d_inv, basis.omegas, field_quadrature)
 
-    # the residual, a second pass: |M - K^T Y K| = |K M - (K^T Y)^T| for the
-    # model Y of the fitted blocks, folded with D once in K's row order
-    q, p, r = (_folded(m, d, basis) for m in (qt, pt, rt))
+    # the residual, a second pass: |M - K^T Y K| = |Y~ - Y| for the model Y
+    # of the fitted blocks, folded with D once in K's row order (the
+    # momentum model negates R~)
+    q, p, r = (_folded(m, d, basis) for m in (qt, pt, rt if field_quadrature else -rt))
     sq = 0.0
-    for lo, half in _half_models(q, p, r, basis, times, series.quadrature):
-        diff = _half(samples(lo, half.shape[0]), bx, by)   # the batch `_half_models` yields
-        diff -= half.transpose(0, 2, 1)
-        sq += float(np.vdot(diff, diff))
-        del half, diff
+    for c, s, y in transformed():
+        y -= _model(q, p, r, c, s)
+        sq += float(np.vdot(y, y))
+        del c, s, y
     return ReconstructionResult(qt=qt, pt=pt, rt=rt,
                                 residual_rms=math.sqrt(sq / (times.size * n_pix ** 2)),
                                 condition=condition, unidentifiable_pairs=unidentifiable)

@@ -39,6 +39,8 @@ from thirdsound import fitting, gaussian as ga, reconstruct as rc, regions as rg
 from thirdsound.geometry import BoundarySpec, Grid, build_basis, solve_wavenumbers_1d
 from thirdsound.regions import RegionMask
 
+from full_matrix import from_full_matrix
+
 FILM = FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
 DERIVED = derive_params(FILM)
 L = 5e-3
@@ -128,7 +130,7 @@ def test_criterion_03_fock_oracle_equivalence():
     for nbar in (0.5, 1.0, 5.0):
         p = fock_thermal_probabilities(nbar, 200)
         s_fock = float(-(p[p > 0] * np.log(p[p > 0])).sum())
-        gamma = ga.CovarianceMatrix(np.diag([nbar + 0.5] * 2), ga.MOMENTUM)
+        gamma = from_full_matrix(np.diag([nbar + 0.5] * 2), ga.MOMENTUM)
         s_gauss = ga.von_neumann_entropy(gamma)
         parts.append((f"single-mode n={nbar}", abs(s_gauss - s_fock) <= 1e-6,
                       f"|dS|={abs(s_gauss - s_fock):.2e}"))
@@ -137,7 +139,7 @@ def test_criterion_03_fock_oracle_equivalence():
     p1, p2 = fock_thermal_probabilities(0.5, 120), fock_thermal_probabilities(5.0, 400)
     joint = np.outer(p1, p2).ravel()
     s_fock = float(-(joint[joint > 0] * np.log(joint[joint > 0])).sum())
-    gamma = ga.CovarianceMatrix(np.diag([1.0, 5.5, 1.0, 5.5]), ga.MOMENTUM)
+    gamma = from_full_matrix(np.diag([1.0, 5.5, 1.0, 5.5]), ga.MOMENTUM)
     s_gauss = ga.von_neumann_entropy(gamma)
     parts.append(("two-mode thermal", abs(s_gauss - s_fock) <= 1e-6,
                   f"|dS|={abs(s_gauss - s_fock):.2e}"))
@@ -147,7 +149,7 @@ def test_criterion_03_fock_oracle_equivalence():
     ch, sh = math.cosh(r), math.sinh(r)
     s_mat = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0],
                       [0, 0, ch, -sh], [0, 0, -sh, ch]])
-    gamma = ga.CovarianceMatrix(s_mat @ np.diag([nbar + 0.5] * 4) @ s_mat.T, ga.MOMENTUM)
+    gamma = from_full_matrix(s_mat @ np.diag([nbar + 0.5] * 4) @ s_mat.T, ga.MOMENTUM)
     d = cutoff + 1
     a = np.diag(np.sqrt(np.arange(1, d)), 1)
     u = scipy.linalg.expm(r * (np.kron(a.T, a.T) - np.kron(a, a)))

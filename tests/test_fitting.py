@@ -82,6 +82,18 @@ class TestCalabreseFit:
             for name in ("kappa1", "kappa2", "kappa3"):
                 assert getattr(fit, name) == pytest.approx(getattr(ref, name), rel=1e-9)
 
+    def test_unconverged_rms_stable_under_rounding_noise(self):
+        # the 10 x 10 sweep's fit ends at the scan's end, where kappa1 ln(base +
+        # kappa2) and kappa3 are some 1e12 times the residual: MIs moved by
+        # 1e-15 relative move the rms by at most 1e-12 relative
+        f, y, n_total = sweep_curve("benchmark/configs/reconstruct-dirichlet-10.cfg")
+        ref = fitting.fit_calabrese_curve(f, y, n_total)
+        assert not ref.converged and ref.kappa2 > 1e12
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], y.size)
+        for scale in (1 + 1e-15, 1 - 1e-15, 1 + 1e-15 * signs):
+            fit = fitting.fit_calabrese_curve(f, y * scale, n_total)
+            assert fit.rms == pytest.approx(ref.rms, rel=1e-12)
+
     def test_best_kappa2_outside_scan_not_converged(self):
         # the planted log singularity lies 1e-9 min(base) below the smallest
         # point, past the scan's lower end at 1e-6 min(base)

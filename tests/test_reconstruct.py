@@ -8,6 +8,8 @@ from thirdsound.errors import RankDeficiencyError
 from thirdsound.geometry import BoundarySpec, Grid, build_basis
 from thirdsound.physics import dispersion_thin_film
 
+from full_matrix import from_full_matrix
+
 FILM = FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
 DERIVED = derive_params(FILM)
 
@@ -24,15 +26,15 @@ def evolve_mode_covariance(gamma0, t):
     omegas = gamma0.basis.omegas
     c, s = np.diag(np.cos(omegas * t)), np.diag(np.sin(omegas * t))
     rot = np.block([[c, s], [-s, c]])
-    return ga.CovarianceMatrix(rot @ gamma0.data @ rot.T, ga.MOMENTUM, basis=gamma0.basis)
+    return from_full_matrix(rot @ gamma0.data @ rot.T, ga.MOMENTUM, basis=gamma0.basis)
 
 
 def excited_covariance(basis, mode=0, value=2.0):
     n = basis.n_modes
     diag = np.full(n, 0.5)
     diag[mode] = value
-    return ga.CovarianceMatrix(np.diag(np.concatenate([diag, diag])), ga.MOMENTUM,
-                               basis=basis)
+    return from_full_matrix(np.diag(np.concatenate([diag, diag])), ga.MOMENTUM,
+                            basis=basis)
 
 
 def squeezed_covariance(basis):
@@ -44,8 +46,8 @@ def squeezed_covariance(basis):
     h = rng.normal(size=(2 * n, 2 * n)) * 0.1
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     s = scipy.linalg.expm(omega @ (0.5 * (h + h.T)))
-    return ga.CovarianceMatrix(s @ np.diag(np.full(2 * n, 1.7)) @ s.T, ga.MOMENTUM,
-                               basis=basis)
+    return from_full_matrix(s @ np.diag(np.full(2 * n, 1.7)) @ s.T, ga.MOMENTUM,
+                            basis=basis)
 
 
 class TestEvolution:
@@ -434,7 +436,7 @@ class TestPackedStorage:
         k = np.kron(bx, by)
         m = np.random.default_rng(2).normal(size=(3, nx * ny, nx * ny))
         m += m.transpose(0, 2, 1)
-        got = rc._half(rc._half(m, bx, by).transpose(0, 2, 1), bx, by)
+        got = rc._conjugate(m, bx, by)
         want = k @ m @ k.T
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         one = rc._half(rc._half(m[1], bx, by).T, bx, by)
@@ -508,7 +510,7 @@ class TestFit:
         data[nmode + n, m] = 0.8
         data[n, nmode + m] = 0.2   # R~_nm
         data[nmode + m, n] = 0.2
-        g0 = ga.CovarianceMatrix(data, ga.MOMENTUM, basis=basis)
+        g0 = from_full_matrix(data, ga.MOMENTUM, basis=basis)
         times = rc.suggested_times(basis)
         series = rc.synth_two_point(g0, basis, DERIVED, times)
         result = rc.fit_covariance(series, basis, DERIVED)

@@ -12,6 +12,8 @@ from thirdsound.geometry import BoundarySpec, Grid, ModeBasis, build_basis
 from thirdsound.physics import dispersion_thin_film
 from thirdsound.regions import RegionMask
 
+from full_matrix import from_full_matrix
+
 FILM = FilmParams(h0=80e-9, alpha_vdw=2.6e-24, temperature=0.3)
 DERIVED = derive_params(FILM)
 
@@ -277,7 +279,7 @@ def squeezed_real_state(grid, seed=4):
     h = np.random.default_rng(seed).normal(scale=0.3, size=(2 * n, 2 * n))
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     s = scipy.linalg.expm(omega @ (h + h.T) / 2)
-    gm = ga.CovarianceMatrix(s @ gm.data @ s.T, ga.MOMENTUM, basis=basis)
+    gm = from_full_matrix(s @ gm.data @ s.T, ga.MOMENTUM, basis=basis)
     return ga.to_real_space(gm, basis, DERIVED)
 
 
@@ -378,7 +380,7 @@ class TestEntropyRoutes:
             gamma = thermal_state(grid, BoundarySpec.dirichlet(),
                                   0.0 if state == "zero-temperature" else 0.3)
             if state == "public-constructor":
-                gamma = ga.CovarianceMatrix(gamma.data, ga.REAL, basis=gamma.basis)
+                gamma = from_full_matrix(gamma.data, ga.REAL, basis=gamma.basis)
         volume = rg.run_volume_sweep(gamma)
         area = rg.run_area_sweep(gamma, 4)
         field = rg.mi_map(gamma)
